@@ -23,10 +23,11 @@ from numpy.typing import NDArray
 from .estimator import (
     BoundaryData,
     DistanceTo,
+    _check_n_walks,
+    _check_threads,
     _map_chunks,
     _require_sane_truncation,
     estimate_value,
-    exit_sample,
 )
 from .geometry import Domain, as_point
 from .oracle import radial_profile
@@ -251,6 +252,7 @@ def estimate_regularity(
     master_seed: int,
     *,
     stop_tolerance: float | None = None,
+    max_steps: int = 10_000_000,
     threads: int = 1,
 ) -> RegularityReport:
     """Probe P(exit lands within delta of y0) from starts near y0.
@@ -258,7 +260,9 @@ def estimate_regularity(
     Probe locations are rejection-sampled from the ball of radius delta_hat
     around y0 intersected with the domain (candidates come from the auxiliary
     stream block; it is an error when none of 10^4 candidates is interior).
-    Probe i runs walks on streams [i * n_walks, (i + 1) * n_walks).
+    Probe i runs walks on streams [i * n_walks, (i + 1) * n_walks); all
+    probes' walks run as one multi-start batch, cut into chunks that may
+    straddle probes, and each probe's statistics come from its own slice.
     Membership uses the closed ball |exit - y0| <= delta, so delta at least
     diam(D) gives probability 1 without simulation.
     """
@@ -284,22 +288,33 @@ def estimate_regularity(
             f"delta_hat={delta_hat} of y0")
     probe_points = candidates[found[:probe_count]]
 
-    trivial = delta >= domain.diameter()
-    config = WalkConfig(epsilon=epsilon, stop_tolerance=stop_tolerance)
-    probes = []
-    for i in range(probe_points.shape[0]):
-        x0 = probe_points[i].copy()
+    config = WalkConfig(epsilon=epsilon, stop_tolerance=stop_tolerance, max_steps=max_steps)
+    starts = [row.copy() for row in probe_points]
+    for x0 in starts:
         x0.setflags(write=False)
-        if trivial:
-            probes.append(RegularityProbe(x0=x0, probability=1.0, stderr=0.0, n=0))
-            continue
-        batch = exit_sample(domain, x0, config, master_seed, n_walks,
-                            stream_base=i * n_walks, threads=threads)
-        ok = ~batch.truncated
-        _require_sane_truncation(int(batch.truncated.sum()), n_walks)
+    if delta >= domain.diameter():
+        probes = tuple(RegularityProbe(x0=x0, probability=1.0, stderr=0.0, n=0)
+                       for x0 in starts)
+        return RegularityReport(y0=y0, delta=delta, delta_hat=delta_hat,
+                                epsilon=float(epsilon), probes=probes)
+    n_walks = _check_n_walks(n_walks)
+
+    def worker(lo: int, hi: int):
+        q = np.arange(lo, hi, dtype=np.int64)
+        batch = run_walks(domain, probe_points[q // n_walks], config, master_seed, q)
+        hits = np.linalg.norm(batch.exit_points - y0, axis=1) <= delta
+        return hits, batch.truncated
+
+    parts = _map_chunks(worker, len(starts) * n_walks, _check_threads(threads))
+    hits = np.concatenate([p[0] for p in parts])
+    truncated = np.concatenate([p[1] for p in parts])
+    probes = []
+    for i, x0 in enumerate(starts):
+        walks = slice(i * n_walks, (i + 1) * n_walks)
+        ok = ~truncated[walks]
+        _require_sane_truncation(int(truncated[walks].sum()), n_walks)
         n_ok = int(ok.sum())
-        hits = np.linalg.norm(batch.exit_points[ok] - y0, axis=1) <= delta
-        p = float(hits.mean())
+        p = float(hits[walks][ok].mean())
         stderr = math.sqrt(p * (1.0 - p) / n_ok)
         probes.append(RegularityProbe(x0=x0, probability=p, stderr=stderr, n=n_ok))
     return RegularityReport(y0=y0, delta=delta, delta_hat=delta_hat,

@@ -382,7 +382,7 @@ def _run_regularity(config: RunConfig) -> int:
     report = analysis.estimate_regularity(
         domain, config.y0, config.delta, config.delta_hat, config.eps,
         config.probes, config.walks, config.seed,
-        stop_tolerance=config.stop_tol, threads=config.threads)
+        stop_tolerance=config.stop_tol, max_steps=config.max_steps, threads=config.threads)
     checks = []
     if config.threshold is not None:
         checks.append({

@@ -6,10 +6,13 @@ w uniform on the unit sphere.  A walk terminates when the boundary distance
 drops below the stop tolerance and reports the nearest-boundary projection
 as its exit point; a step cap marks the outcome truncated instead of raising.
 
-The batch runner advances many walks in lockstep with vectorized numpy ops.
-Each walk consumes draws addressed by (master_seed, stream_index, step), so
-outcomes are independent of batch composition: running a walk alone, in a
-chunk, or under any thread count is bitwise identical.
+The batch runner advances many walks in lockstep with vectorized numpy ops,
+from one shared start or from one start per walk.  Each walk consumes draws
+addressed by (master_seed, stream_index, step).  While only a few walks are
+still running, their draws are prefetched several steps at a time in one
+sampler call, at the same addresses.  Outcomes are therefore independent of
+batch composition and block size: running a walk alone, in a chunk, or
+under any thread count is bitwise identical.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ BALL = "ball"
 SPHERE = "sphere"
 # Default stop tolerance, as a fraction of the domain diameter.
 STOP_TOLERANCE_FACTOR = 1e-4
+
+# While fewer walks than _PREFETCH_ROWS are live, each sampler call draws
+# about _PREFETCH_ROWS samples: _PREFETCH_ROWS // live steps ahead for every
+# live walk.
+_PREFETCH_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,52 @@ def sphere_walk_step(domain: Domain, x, epsilon: float, w) -> _Array:
     return out[0] if single else out
 
 
+class _StepDraws:
+    """Per-step unit-ball or unit-sphere draws for the live walks of a batch.
+
+    Step t of a walk reads the sample whose first draw is offset + t * per on
+    the walk's stream, whatever the batch.  While the live batch is narrower
+    than _PREFETCH_ROWS, one sampler call fills a block of k steps for every
+    live walk; rows of walks that leave are dropped from the block.  Block
+    depth therefore changes how many calls are made, never a sample.
+    """
+
+    def __init__(self, n_dim: int, sphere: bool, master_seed: int, stream_indices,
+                 draw_offsets, max_steps: int):
+        m = stream_indices.shape[0]
+        self._n_dim = n_dim
+        self._sampler = _unit_sphere_from_base if sphere else _unit_ball_from_base
+        self._per = np.uint64(draws_per_sphere(n_dim) if sphere else draws_per_ball(n_dim))
+        self._bases = _stream_base(master_seed, stream_indices)
+        self._offsets = np.broadcast_to(_as_u64(draw_offsets), (m,))
+        self._max_steps = max_steps
+        self._block: _Array | None = None   # (live, k, n): steps block_t .. block_t + k - 1
+        self._block_t = 0
+
+    def drop(self, keep: NDArray[np.bool_]) -> None:
+        """Forget the walks whose ``keep`` flag is False."""
+        self._bases = self._bases[keep]
+        self._offsets = self._offsets[keep]
+        if self._block is not None:
+            self._block = self._block[keep]
+
+    def take(self, t: int) -> _Array:
+        """The step-t samples of the live walks, shape (live, n)."""
+        block = self._block
+        if block is None:
+            live = self._bases.shape[0]
+            k = max(1, min(_PREFETCH_ROWS // live, self._max_steps - t))
+            first = self._offsets[:, None] + np.arange(t, t + k, dtype=np.uint64) * self._per
+            w = self._sampler(np.repeat(self._bases, k), first.ravel(), self._n_dim)
+            block = w.reshape(live, k, self._n_dim)
+            self._block_t = t
+        j = t - self._block_t
+        # Steps are taken in order, so a block is released once its last step
+        # is read and drop() never gathers rows that will not be read.
+        self._block = block if j + 1 < block.shape[1] else None
+        return block[:, j]
+
+
 def run_walks(
     domain: Domain,
     x0,
@@ -143,65 +197,75 @@ def run_walks(
 ) -> WalkBatch | tuple[WalkBatch, list[_Array]]:
     """Advance one walk per stream index until exit or cap; see WalkBatch.
 
-    ``excursion_center`` changes the reference point of max_excursion (the
-    escape-probability estimator measures spread around a boundary point
-    rather than around x0).  With ``record_trace`` the full position history
-    is returned as one (steps+1, n) array per walk; use small batches.
+    ``x0`` is one start (n,) shared by every walk, or one start per walk
+    (m, n) in stream-index order.  max_excursion is measured from each walk's
+    own start unless ``excursion_center`` names another reference point (the
+    escape-probability estimator measures spread around a boundary point).
+    With ``record_trace`` the full position history is returned as one
+    (steps+1, n) array per walk; use small batches.
     """
-    x0p, _ = _prep(x0, domain.dim)
-    x0v = x0p[0]
-    if not domain.contains(x0v):
-        raise ValueError("walks must start inside the open domain")
     idx = _as_u64(stream_indices)
     m = idx.shape[0]
     n = domain.dim
+    starts, shared = _prep(x0, n)
+    if not shared and starts.shape[0] != m:
+        raise ValueError(f"got {starts.shape[0]} start points for {m} walks")
+    if not np.all(domain.contains(starts)):
+        raise ValueError("walks must start inside the open domain")
     tol = config.resolved_stop(domain)
     eps = config.epsilon
     sphere = config.kind == SPHERE
-    per = draws_per_sphere(n) if sphere else draws_per_ball(n)
+    draws = _StepDraws(n, sphere, master_seed, idx, draw_offsets, config.max_steps)
 
-    bases = _stream_base(master_seed, idx)
-    offsets = np.broadcast_to(_as_u64(draw_offsets), (m,))
-    ref = x0v if excursion_center is None else _prep(excursion_center, n)[0][0]
-
-    pos = np.broadcast_to(x0v, (m, n)).copy()
+    # Live state is kept compact (one row per live walk, in ``alive`` order)
+    # and written to the outputs only when walks leave the batch.
+    cur = np.broadcast_to(starts, (m, n)).copy()
+    if excursion_center is not None:
+        ref = _prep(excursion_center, n)[0][0]
+    else:
+        ref = starts[0] if shared else starts
+    # A shared start's excursion uses the same 1-D norm as the distance
+    # callers compare it with (estimate_escape_probability's start_distance).
+    if shared:
+        exc = np.full(m, float(np.linalg.norm(starts[0] - ref)))
+    else:
+        exc = np.linalg.norm(starts - ref, axis=1)
     exit_points = np.empty((m, n))
     steps = np.zeros(m, dtype=np.int64)
     truncated = np.zeros(m, dtype=bool)
-    excursion = np.full(m, float(np.linalg.norm(x0v - ref)))
-    traces: list[list[_Array]] = [[x0v.copy()] for _ in range(m)] if record_trace else []
+    excursion = np.empty(m)
+    traces: list[list[_Array]] = [[row.copy()] for row in cur] if record_trace else []
 
     alive = np.arange(m)
     t = 0
     while alive.size:
-        cur = pos[alive]
         dist = -domain._sd(cur)
         np.maximum(dist, 0.0, out=dist)
         done = dist < tol
         if np.any(done):
             rows = alive[done]
-            exit_points[rows] = domain._project(pos[rows])
+            exit_points[rows] = domain._project(cur[done])
+            steps[rows] = t
+            excursion[rows] = exc[done]
             keep = ~done
             alive = alive[keep]
-            cur = cur[keep]
-            dist = dist[keep]
             if alive.size == 0:
                 break
+            cur = cur[keep]
+            dist = dist[keep]
+            exc = exc[keep]
+            if ref.ndim == 2:
+                ref = ref[keep]
+            draws.drop(keep)
         if t >= config.max_steps:
             truncated[alive] = True
-            exit_points[alive] = domain._project(pos[alive])
+            exit_points[alive] = domain._project(cur)
+            steps[alive] = t
+            excursion[alive] = exc
             break
-        draw_start = offsets[alive] + np.uint64(t * per)
-        if sphere:
-            w = _unit_sphere_from_base(bases[alive], draw_start, n)
-            radius = np.minimum(eps, 0.5 * dist)
-        else:
-            w = _unit_ball_from_base(bases[alive], draw_start, n)
-            radius = np.minimum(eps, dist)
-        cur = cur + radius[:, None] * w
-        pos[alive] = cur
-        steps[alive] = t + 1
-        excursion[alive] = np.maximum(excursion[alive], np.linalg.norm(cur - ref, axis=1))
+        radius = np.minimum(eps, 0.5 * dist) if sphere else np.minimum(eps, dist)
+        cur = cur + radius[:, None] * draws.take(t)
+        np.maximum(exc, np.linalg.norm(cur - ref, axis=1), out=exc)
         if record_trace:
             for k, row in enumerate(alive):
                 traces[row].append(cur[k].copy())
@@ -263,10 +327,9 @@ def run_stopped_walks(
     idx = _as_u64(stream_indices)
     m = idx.shape[0]
     n = domain.dim
-    per = draws_per_ball(n)
-    bases = _stream_base(master_seed, idx)
+    draws = _StepDraws(n, False, master_seed, idx, 0, max_steps)
 
-    pos = np.broadcast_to(x0v, (m, n)).copy()
+    cur = np.broadcast_to(x0v, (m, n)).copy()
     stop_points = np.empty((m, n))
     stop_steps = np.zeros(m, dtype=np.int64)
     alive = np.arange(m)
@@ -274,20 +337,19 @@ def run_stopped_walks(
     while alive.size:
         if t >= max_steps:
             raise RuntimeError(f"{alive.size} stopped walks exhausted the step cap {max_steps}")
-        cur = pos[alive]
         dist = -domain._sd(cur)
         np.maximum(dist, 0.0, out=dist)
-        draw_start = np.broadcast_to(np.uint64(t * per), (alive.size,))
-        w = _unit_ball_from_base(bases[alive], draw_start, n)
-        cur = cur + np.minimum(epsilon, dist)[:, None] * w
-        pos[alive] = cur
+        cur = cur + np.minimum(epsilon, dist)[:, None] * draws.take(t)
         t += 1
         out = np.linalg.norm(cur - x0v, axis=1) >= r
         if np.any(out):
             rows = alive[out]
             stop_points[rows] = cur[out]
             stop_steps[rows] = t
-            alive = alive[~out]
+            keep = ~out
+            alive = alive[keep]
+            cur = cur[keep]
+            draws.drop(keep)
     return stop_points, stop_steps
 
 

@@ -27,6 +27,7 @@ from ballwalk import (
     martingale_check,
     mean_value_residual,
 )
+from ballwalk.estimator import _CHUNK, exit_sample
 
 DISK = Ball((0.0, 0.0), 1.0)
 BALL3 = Ball((0.0, 0.0, 0.0), 1.0)
@@ -138,6 +139,31 @@ def test_puncture_is_irregular():
     )
     # walks from next to the puncture overwhelmingly exit at the far circle
     assert report.min_probability <= 0.12
+
+
+def _regularity_probe_by_probe(domain, y0, delta, x0s, epsilon, n_walks, seed, threads):
+    """One exit_sample call per probe: probe i on streams [i*n, (i+1)*n)."""
+    out = []
+    for i, x0 in enumerate(x0s):
+        batch = exit_sample(domain, x0, WalkConfig(epsilon), seed, n_walks,
+                            stream_base=i * n_walks, threads=threads)
+        ok = ~batch.truncated
+        hits = np.linalg.norm(batch.exit_points[ok] - y0, axis=1) <= delta
+        p = float(hits.mean())
+        out.append((p, math.sqrt(p * (1.0 - p) / int(ok.sum())), int(ok.sum())))
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_regularity_batch_equals_probe_by_probe(threads):
+    # 3 probes of n walks with 2n > _CHUNK: the first chunk ends inside probe 1
+    n = _CHUNK // 2 + 100
+    y0 = np.array([1.0, 0.0])
+    report = estimate_regularity(DISK, y0, 0.3, 0.02, 0.2, 3, n, 8, threads=threads)
+    got = [(p.probability, p.stderr, p.n) for p in report.probes]
+    want = _regularity_probe_by_probe(DISK, y0, 0.3, [p.x0 for p in report.probes], 0.2,
+                                      n, 8, threads)
+    assert got == want
 
 
 def test_regularity_trivial_when_delta_covers_the_domain():

@@ -190,6 +190,15 @@ def test_regularity_threshold_gates_exit_code(tmp_path):
     assert main([*base, "--threshold", "0.9999", "--out", str(tmp_path / "b.json")]) == 2
 
 
+def test_regularity_honours_max_steps(tmp_path, capsys):
+    base = ["regularity", "--domain", "ball(0,0;1)", "--y0", "1,0",
+            "--delta", "0.3", "--delta-hat", "0.02", "--eps", "0.05",
+            "--probes", "1", "--walks", "200", "--seed", "5"]
+    # a cap of 2 steps truncates most walks, and the estimate is refused
+    assert main([*base, "--max-steps", "2", "--out", str(tmp_path / "r.json")]) == 1
+    assert "step cap" in capsys.readouterr().err
+
+
 def test_escape_bound_check(tmp_path):
     out = tmp_path / "esc.json"
     code = main(

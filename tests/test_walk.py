@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballwalk import walk
 from ballwalk import (
     BALL,
     SPHERE,
@@ -14,15 +15,19 @@ from ballwalk import (
     RngStream,
     WalkConfig,
     ball_walk_step,
+    draws_per_ball,
+    draws_per_sphere,
     run_stopped_walks,
     run_until_exit_ball,
     run_walk,
     run_walks,
     sample_unit_ball,
+    sample_unit_sphere,
     sphere_walk_step,
 )
 
 DISK = Ball((0.0, 0.0), 1.0)
+BALLS = {2: DISK, 3: Ball((0.0, 0.0, 0.0), 1.0)}
 
 
 def test_config_validation():
@@ -183,3 +188,110 @@ def test_walks_work_in_a_box():
     batch = run_walks(box, (0.5, 1.0, 0.5), WalkConfig(0.25), 8, range(16))
     assert not np.any(box.contains(batch.exit_points))
     assert np.all(np.abs(box.signed_distance(batch.exit_points)) <= 1e-9)
+
+
+def _interior_starts(dim, m, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((m, dim))
+    return 0.9 * rng.uniform(size=(m, 1)) * u / np.linalg.norm(u, axis=1)[:, None]
+
+
+def _assert_matches_walks_alone(domain, starts, cfg, seed, idx, offsets):
+    """Run the batch, then every walk alone, and require identical outcomes."""
+    batch = run_walks(domain, starts, cfg, seed, idx, draw_offsets=offsets)
+    for row in range(len(idx)):
+        alone = run_walks(domain, starts[row], cfg, seed, [idx[row]],
+                          draw_offsets=[offsets[row]])
+        assert np.array_equal(batch.exit_points[row], alone.exit_points[0])
+        assert batch.steps[row] == alone.steps[0]
+        assert batch.truncated[row] == alone.truncated[0]
+        assert batch.max_excursion[row] == alone.max_excursion[0]
+    return batch
+
+
+@given(st.sampled_from([2, 3]), st.sampled_from([BALL, SPHERE]), st.integers(1, 40),
+       st.integers(0, 2**40), st.booleans(), st.one_of(st.just(10_000_000), st.integers(1, 60)))
+@settings(max_examples=30, deadline=None)
+def test_multi_start_batch_matches_walks_run_alone(dim, kind, m, seed, shifted, cap):
+    cfg = WalkConfig(0.2, kind=kind, max_steps=cap)
+    idx = np.arange(m) * 3 + seed % 1000
+    offsets = (np.arange(m) * 97 + 5) if shifted else np.zeros(m, dtype=np.int64)
+    starts = _interior_starts(dim, m, seed)
+    batch = _assert_matches_walks_alone(BALLS[dim], starts, cfg, seed, idx, offsets)
+    # each walk measures its excursion from its own start; an exit point is
+    # within the stop tolerance of the walk's last position
+    ok = ~batch.truncated
+    spread = np.linalg.norm(batch.exit_points[ok] - starts[ok], axis=1)
+    assert np.all(batch.max_excursion[ok] >= spread - cfg.resolved_stop(BALLS[dim]) - 1e-12)
+
+
+def test_batch_wider_than_prefetch_rows_matches_walks_alone(monkeypatch):
+    # Wider than _PREFETCH_ROWS, the kernel draws blocks one step deep; once
+    # enough walks have exited the blocks grow to k > 1 steps.
+    depths = set()
+    sampler = walk._unit_ball_from_base
+
+    def spy(base, first, n_dim):
+        depths.add(base.shape[0] // np.unique(base).shape[0])
+        return sampler(base, first, n_dim)
+
+    monkeypatch.setattr(walk, "_unit_ball_from_base", spy)
+    m = walk._PREFETCH_ROWS + 60
+    starts = _interior_starts(2, m, 12)
+    _assert_matches_walks_alone(DISK, starts, WalkConfig(0.25), 12, np.arange(m),
+                                np.arange(m) * 11)
+    assert 1 in depths and max(depths) > 1
+
+
+def test_truncation_lands_at_the_cap_inside_a_block():
+    m, cap = 10, 7
+    assert cap < walk._PREFETCH_ROWS // m       # one block would reach past the cap
+    cfg = WalkConfig(0.02, max_steps=cap)
+    starts = 0.1 * _interior_starts(3, m, 4)
+    batch = _assert_matches_walks_alone(BALLS[3], starts, cfg, 4, np.arange(m),
+                                        np.full(m, 1000))
+    assert np.all(batch.truncated)
+    assert np.all(batch.steps == cap)
+
+
+@pytest.mark.parametrize("kind", [BALL, SPHERE])
+def test_step_t_reads_the_sample_at_offset_plus_t_draws(kind):
+    # Whatever the block depth, step t of walk k moves by the sample whose
+    # first draw is offset_k + t * per on stream k.
+    cfg = WalkConfig(0.1, kind=kind)
+    idx, offsets = [3, 8, 21], [0, 5, 1000]
+    starts = _interior_starts(2, 3, 6)
+    batch, traces = run_walks(DISK, starts, cfg, 6, idx, draw_offsets=offsets,
+                              record_trace=True)
+    sample = sample_unit_sphere if kind == SPHERE else sample_unit_ball
+    per = draws_per_sphere(2) if kind == SPHERE else draws_per_ball(2)
+    for k, tr in enumerate(traces):
+        assert tr.shape[0] == batch.steps[k] + 1
+        for t in range(batch.steps[k]):
+            dist = DISK.distance_to_boundary(tr[t])
+            radius = min(cfg.epsilon, 0.5 * dist if kind == SPHERE else dist)
+            w = sample(RngStream(6, idx[k], offsets[k] + t * per), 2)
+            assert np.array_equal(tr[t + 1], tr[t] + radius * w)
+
+
+def test_per_walk_starts_are_checked():
+    with pytest.raises(ValueError):
+        run_walks(DISK, np.zeros((3, 2)), WalkConfig(0.2), 0, range(4))
+    with pytest.raises(ValueError):
+        run_walks(DISK, [[0.0, 0.0], [1.5, 0.0]], WalkConfig(0.2), 0, range(2))
+
+
+def test_shared_start_excursion_is_the_start_distance():
+    # A walk that stops at step 0 reports the 1-D norm |x0 - center|, the
+    # start_distance estimate_escape_probability compares delta with; prefer
+    # a center where the row-wise norm of the same vector rounds differently.
+    x0 = np.array([1.0 - 1e-4, 0.0])
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        center = x0 - rng.uniform(-0.5, 0.5, 2)
+        d = x0 - center
+        if np.linalg.norm(d) != np.linalg.norm(d[None, :], axis=1)[0]:
+            break
+    batch = run_walks(DISK, x0, WalkConfig(0.2), 0, range(3), excursion_center=center)
+    assert np.all(batch.steps == 0)
+    assert np.all(batch.max_excursion == float(np.linalg.norm(x0 - center)))
