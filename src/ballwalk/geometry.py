@@ -88,7 +88,9 @@ class Domain(abc.ABC):
 
     dim: int
 
-    # Shape internals operate on pre-validated (m, n) arrays.
+    # Shape internals operate on pre-validated (m, n) arrays, row by row: an
+    # output row depends on its input row alone, never on the other rows, so
+    # callers may batch points freely (run_walks projects all exits at once).
     @abc.abstractmethod
     def _sd(self, pts: _Array) -> _Array: ...
 
@@ -364,7 +366,13 @@ class HalfspaceIntersection(Domain):
         return lo, hi
 
     def _margins(self, pts: _Array) -> _Array:
-        return pts @ self.normals.T - self.offsets
+        # A sum over coordinates in a fixed order, not a BLAS product: a
+        # matrix product may round a row differently depending on how many
+        # rows it is given, and each row's margins must not depend on that.
+        acc = pts[:, :1] * self.normals[:, 0]
+        for i in range(1, self.dim):
+            acc += pts[:, i:i + 1] * self.normals[:, i]
+        return acc - self.offsets
 
     def _sd(self, pts: _Array) -> _Array:
         return np.max(self._margins(pts), axis=1)

@@ -10,9 +10,12 @@ The batch runner advances many walks in lockstep with vectorized numpy ops,
 from one shared start or from one start per walk.  Each walk consumes draws
 addressed by (master_seed, stream_index, step).  While only a few walks are
 still running, their draws are prefetched several steps at a time in one
-sampler call, at the same addresses.  Outcomes are therefore independent of
-batch composition and block size: running a walk alone, in a chunk, or
-under any thread count is bitwise identical.
+sampler call, at the same addresses.  Exits are projected once per batch,
+after the loop, from every walk's final position; each shape's projection
+is row-wise, so this gives the same exits as projecting walks as they stop.
+Outcomes are therefore independent of batch composition and block size, for
+every shape: running a walk alone, in a chunk, or under any thread count is
+bitwise identical on one machine and numpy build.
 """
 
 from __future__ import annotations
@@ -230,7 +233,7 @@ def run_walks(
         exc = np.full(m, float(np.linalg.norm(starts[0] - ref)))
     else:
         exc = np.linalg.norm(starts - ref, axis=1)
-    exit_points = np.empty((m, n))
+    final = np.empty((m, n))
     steps = np.zeros(m, dtype=np.int64)
     truncated = np.zeros(m, dtype=bool)
     excursion = np.empty(m)
@@ -244,7 +247,7 @@ def run_walks(
         done = dist < tol
         if np.any(done):
             rows = alive[done]
-            exit_points[rows] = domain._project(cur[done])
+            final[rows] = cur[done]
             steps[rows] = t
             excursion[rows] = exc[done]
             keep = ~done
@@ -259,7 +262,7 @@ def run_walks(
             draws.drop(keep)
         if t >= config.max_steps:
             truncated[alive] = True
-            exit_points[alive] = domain._project(cur)
+            final[alive] = cur
             steps[alive] = t
             excursion[alive] = exc
             break
@@ -271,7 +274,9 @@ def run_walks(
                 traces[row].append(cur[k].copy())
         t += 1
 
-    batch = WalkBatch(exit_points, steps, truncated, excursion)
+    # Exits are projected in one call; _project works row by row, so how many
+    # walks share the call never changes an exit.
+    batch = WalkBatch(domain._project(final), steps, truncated, excursion)
     if record_trace:
         return batch, [np.asarray(tr) for tr in traces]
     return batch
@@ -306,14 +311,16 @@ def run_stopped_walks(
     master_seed: int,
     stream_indices,
     *,
+    draw_offsets=0,
     max_steps: int = 10_000_000,
 ) -> tuple[_Array, NDArray[np.int64]]:
     """Ball walks from x0 stopped on first departure from the ball of radius r.
 
     Requires the concentric ball of radius 2r around x0 to stay inside the
     domain (certified through the distance oracle, which never
-    overestimates).  Returns stop points and stop steps; raises if any walk
-    exhausts the step cap.
+    overestimates).  ``draw_offsets`` shifts each walk's draws along its
+    stream, as in run_walks.  Returns stop points and stop steps; raises if
+    any walk exhausts the step cap.
     """
     x0p, _ = _prep(x0, domain.dim)
     x0v = x0p[0]
@@ -327,7 +334,7 @@ def run_stopped_walks(
     idx = _as_u64(stream_indices)
     m = idx.shape[0]
     n = domain.dim
-    draws = _StepDraws(n, False, master_seed, idx, 0, max_steps)
+    draws = _StepDraws(n, False, master_seed, idx, draw_offsets, max_steps)
 
     cur = np.broadcast_to(x0v, (m, n)).copy()
     stop_points = np.empty((m, n))
@@ -357,5 +364,6 @@ def run_until_exit_ball(domain: Domain, x0, epsilon: float, r: float,
                         stream: RngStream, *, max_steps: int = 10_000_000) -> StoppedOutcome:
     """Single stopped walk; see run_stopped_walks."""
     points, steps = run_stopped_walks(
-        domain, x0, epsilon, r, stream.master_seed, [stream.stream_index], max_steps=max_steps)
+        domain, x0, epsilon, r, stream.master_seed, [stream.stream_index],
+        draw_offsets=stream.offset, max_steps=max_steps)
     return StoppedOutcome(stop_point=points[0], stop_step=int(steps[0]))

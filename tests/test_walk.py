@@ -2,7 +2,7 @@
 changes results, step sizes respect the distance cap."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballwalk import walk
@@ -10,8 +10,12 @@ from ballwalk import (
     BALL,
     SPHERE,
     STOP_TOLERANCE_FACTOR,
+    Annulus,
     Ball,
     Box,
+    Difference,
+    HalfspaceIntersection,
+    PuncturedBall,
     RngStream,
     WalkConfig,
     ball_walk_step,
@@ -28,6 +32,35 @@ from ballwalk import (
 
 DISK = Ball((0.0, 0.0), 1.0)
 BALLS = {2: DISK, 3: Ball((0.0, 0.0, 0.0), 1.0)}
+
+
+def _polygon(k):
+    # k faces with normals at irrational angles, so margins round inexactly
+    angles = 0.3 + 2.0 * np.pi * np.arange(k) / k
+    return HalfspaceIntersection([((np.cos(a), np.sin(a)), 1.0) for a in angles])
+
+
+def _octahedron():
+    signs = [(a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)]
+    return HalfspaceIntersection([((a, 0.5 * b, 0.25 * c), 1.0) for a, b, c in signs])
+
+
+# Every walk domain, in 2-D and 3-D, keyed by (shape name, dim).
+SHAPES = {
+    ("ball", 2): DISK,
+    ("ball", 3): BALLS[3],
+    ("box", 2): Box((-1.0, -0.5), (0.5, 1.0)),
+    ("box", 3): Box((-1.0, -0.5, -0.2), (0.5, 1.0, 0.8)),
+    ("annulus", 2): Annulus((0.1, 0.0), 0.4, 1.0),
+    ("annulus", 3): Annulus((0.1, 0.0, 0.0), 0.4, 1.0),
+    ("punctured_ball", 2): PuncturedBall((0.0, 0.1), 1.0),
+    ("punctured_ball", 3): PuncturedBall((0.0, 0.1, 0.0), 1.0),
+    ("difference", 2): Difference(Box((0.0, 0.0), (1.0, 1.0)), Ball((0.5, 0.5), 0.3)),
+    ("difference", 3): Difference(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+                                  Ball((0.5, 0.5, 0.5), 0.3)),
+    ("halfspaces", 2): _polygon(5),
+    ("halfspaces", 3): _octahedron(),
+}
 
 
 def test_config_validation():
@@ -183,6 +216,16 @@ def test_stopped_walks_need_room():
         run_stopped_walks(DISK, (0.0, 0.0), 0.05, 0.3, 0, range(4), max_steps=2)
 
 
+def test_stopped_walk_honours_the_stream_offset():
+    x0, eps, r = (0.0, 0.0), 0.05, 0.3
+    plain = run_until_exit_ball(DISK, x0, eps, r, RngStream(17, 3))
+    moved = run_until_exit_ball(DISK, x0, eps, r, RngStream(17, 3, offset=50))
+    assert not np.array_equal(moved.stop_point, plain.stop_point)
+    pts, steps = run_stopped_walks(DISK, x0, eps, r, 17, range(8), draw_offsets=50)
+    assert np.array_equal(moved.stop_point, pts[3])
+    assert moved.stop_step == steps[3]
+
+
 def test_walks_work_in_a_box():
     box = Box((0.0, 0.0, 0.0), (1.0, 2.0, 1.0))
     batch = run_walks(box, (0.5, 1.0, 0.5), WalkConfig(0.25), 8, range(16))
@@ -209,20 +252,43 @@ def _assert_matches_walks_alone(domain, starts, cfg, seed, idx, offsets):
     return batch
 
 
-@given(st.sampled_from([2, 3]), st.sampled_from([BALL, SPHERE]), st.integers(1, 40),
-       st.integers(0, 2**40), st.booleans(), st.one_of(st.just(10_000_000), st.integers(1, 60)))
+def _starts_inside(domain, m, seed):
+    """m interior points of ``domain``, drawn uniformly from its bounding box."""
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.bounding_box()
+    starts = np.empty((0, domain.dim))
+    while starts.shape[0] < m:
+        pts = rng.uniform(lo, hi, size=(4 * m, domain.dim))
+        starts = np.concatenate([starts, pts[domain.contains(pts)]])
+    return starts[:m]
+
+
+def _every_shape(test):
+    """Run ``test`` on every shape in 2-D and 3-D, once with a cap that
+    truncates some walks, besides the examples hypothesis draws."""
+    for shape, dim in SHAPES:
+        test = example(shape, dim, BALL, 24, 7, True, 10_000_000)(test)
+        test = example(shape, dim, SPHERE, 24, 8, False, 6)(test)
+    return test
+
+
+@given(st.sampled_from(sorted({shape for shape, _ in SHAPES})), st.sampled_from([2, 3]),
+       st.sampled_from([BALL, SPHERE]), st.integers(1, 40), st.integers(0, 2**40),
+       st.booleans(), st.one_of(st.just(10_000_000), st.integers(1, 60)))
+@_every_shape
 @settings(max_examples=30, deadline=None)
-def test_multi_start_batch_matches_walks_run_alone(dim, kind, m, seed, shifted, cap):
+def test_multi_start_batch_matches_walks_run_alone(shape, dim, kind, m, seed, shifted, cap):
+    domain = SHAPES[shape, dim]
     cfg = WalkConfig(0.2, kind=kind, max_steps=cap)
     idx = np.arange(m) * 3 + seed % 1000
     offsets = (np.arange(m) * 97 + 5) if shifted else np.zeros(m, dtype=np.int64)
-    starts = _interior_starts(dim, m, seed)
-    batch = _assert_matches_walks_alone(BALLS[dim], starts, cfg, seed, idx, offsets)
+    starts = _starts_inside(domain, m, seed)
+    batch = _assert_matches_walks_alone(domain, starts, cfg, seed, idx, offsets)
     # each walk measures its excursion from its own start; an exit point is
     # within the stop tolerance of the walk's last position
     ok = ~batch.truncated
     spread = np.linalg.norm(batch.exit_points[ok] - starts[ok], axis=1)
-    assert np.all(batch.max_excursion[ok] >= spread - cfg.resolved_stop(BALLS[dim]) - 1e-12)
+    assert np.all(batch.max_excursion[ok] >= spread - cfg.resolved_stop(domain) - 1e-12)
 
 
 def test_batch_wider_than_prefetch_rows_matches_walks_alone(monkeypatch):
@@ -295,3 +361,36 @@ def test_shared_start_excursion_is_the_start_distance():
     batch = run_walks(DISK, x0, WalkConfig(0.2), 0, range(3), excursion_center=center)
     assert np.all(batch.steps == 0)
     assert np.all(batch.max_excursion == float(np.linalg.norm(x0 - center)))
+
+
+@pytest.mark.parametrize("case", ["exits", "stopped_at_start", "capped"])
+def test_exits_are_projected_in_one_call(monkeypatch, case):
+    # One _project call over the final positions of all m walks, whether
+    # walks exit over many iterations, all stop at t = 0, or hit the cap.
+    m = 12
+    cfg = WalkConfig(0.2, max_steps=4 if case == "capped" else 10_000_000)
+    if case == "stopped_at_start":
+        angles = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+        radius = 1.0 - 0.5 * cfg.resolved_stop(DISK)
+        starts = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        starts = _interior_starts(2, m, 5)
+    domain = Ball((0.0, 0.0), 1.0)
+    calls = []
+    project = domain._project
+
+    def spy(pts):
+        calls.append(pts.copy())
+        return project(pts)
+
+    monkeypatch.setattr(domain, "_project", spy)
+    batch, traces = run_walks(domain, starts, cfg, 3, range(m), record_trace=True)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.array([tr[-1] for tr in traces]))
+    assert np.array_equal(batch.exit_points, project(calls[0]))
+    if case == "capped":
+        assert np.all(batch.truncated) and np.all(batch.steps == 4)
+    elif case == "stopped_at_start":
+        assert not np.any(batch.truncated) and np.all(batch.steps == 0)
+    else:
+        assert not np.any(batch.truncated) and np.unique(batch.steps).size > 1
