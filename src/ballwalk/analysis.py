@@ -6,10 +6,12 @@ averaging expansion, exit-measure geometry, boundary regularity probes,
 escape probabilities against the exterior-cone bound, and the martingale
 property of a single step.
 
-Stream layout: walk streams occupy low indices (documented per routine);
-auxiliary sampling (probe locations, averaging centers, single-step draws)
-lives in the block starting at AUX_STREAM_BASE so it can never collide with
-walk streams.
+Every diagnostic that runs walks to the boundary goes through exit_sample
+or estimate_field, so walks fan out over threads in one place and walk k
+of a batch uses stream stream_base + k.  Walk streams occupy low indices
+(documented per routine); auxiliary sampling (probe locations, averaging
+centers, single-step draws) lives in the block starting at AUX_STREAM_BASE
+so it can never collide with walk streams.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from .estimator import (
     BoundaryData,
     DistanceTo,
     _check_n_walks,
-    _check_threads,
-    _map_chunks,
     _require_sane_truncation,
-    estimate_value,
+    estimate_field,
+    exit_sample,
 )
 from .geometry import Domain, as_point
 from .oracle import radial_profile
-from .stochastic import RngStream, draws_per_ball, sample_unit_ball
-from .walk import WalkConfig, run_stopped_walks, run_walks
+from .stochastic import RngStream, sample_unit_ball
+from .walk import WalkConfig, run_stopped_walks
 
 _Array = NDArray[np.float64]
 
@@ -135,33 +136,35 @@ def mean_value_residual(
     """Estimate u(x) minus the average of u over a concentric step ball.
 
     The interior mean-value identity makes the difference zero in
-    expectation.  The center estimate uses walk streams [0, n_inner); the
-    estimate at the j-th sampled center uses [(j+1)*n_inner, (j+2)*n_inner);
-    center locations come from the auxiliary stream block.  The outer average
-    uses a running (Welford) mean, so constant data gives residual 0.0 with
-    no rounding noise: every stage then computes the identical float.
+    expectation.  x and the sampled centers are the rows of one
+    estimate_field call: the center estimate uses walk streams [0, n_inner);
+    the estimate at the j-th sampled center uses [(j+1)*n_inner,
+    (j+2)*n_inner); center locations come from the auxiliary stream block.
+    The outer average uses a running (Welford) mean, so constant data gives
+    residual 0.0 with no rounding noise: every stage then computes the
+    identical float.
     """
     x = _domain_point(domain, x)
     if int(n_outer) != n_outer or n_outer < 2:
         raise ValueError(f"n_outer must be an integer >= 2, got {n_outer!r}")
     n_outer = int(n_outer)
-    center = estimate_value(domain, data, x, config, master_seed, n_inner,
-                            stream_base=0, threads=threads)
     radius = min(config.epsilon, domain.distance_to_boundary(x))
     aux = RngStream(master_seed, AUX_STREAM_BASE)
     offsets = sample_unit_ball(aux, domain.dim, n_outer)
+    field = estimate_field(domain, data, np.vstack([x, x + radius * offsets]), config,
+                           master_seed, n_inner, threads=threads)
+    if field.skipped:
+        raise ValueError("walks must start inside the open domain")
+    means = field.means.tolist()
     mean = 0.0
     m2 = 0.0
-    for j in range(n_outer):
-        est = estimate_value(domain, data, x + radius * offsets[j], config,
-                             master_seed, n_inner,
-                             stream_base=(j + 1) * n_inner, threads=threads)
-        delta = est.mean - mean
+    for j, value in enumerate(means[1:]):
+        delta = value - mean
         mean += delta / (j + 1)
-        m2 += delta * (est.mean - mean)
+        m2 += delta * (value - mean)
     outer_stderr = math.sqrt(m2 / (n_outer - 1) / n_outer)
-    residual = center.mean - mean
-    stderr = math.hypot(center.stderr, outer_stderr)
+    residual = means[0] - mean
+    stderr = math.hypot(float(field.stderrs[0]), outer_stderr)
     return residual, stderr
 
 
@@ -261,8 +264,9 @@ def estimate_regularity(
     around y0 intersected with the domain (candidates come from the auxiliary
     stream block; it is an error when none of 10^4 candidates is interior).
     Probe i runs walks on streams [i * n_walks, (i + 1) * n_walks); all
-    probes' walks run as one multi-start batch, cut into chunks that may
-    straddle probes, and each probe's statistics come from its own slice.
+    probes' walks run as one exit_sample call with one start per walk, cut
+    into chunks that may straddle probes, and each probe's statistics come
+    from its own slice.
     Membership uses the closed ball |exit - y0| <= delta, so delta at least
     diam(D) gives probability 1 without simulation.
     """
@@ -298,21 +302,14 @@ def estimate_regularity(
         return RegularityReport(y0=y0, delta=delta, delta_hat=delta_hat,
                                 epsilon=float(epsilon), probes=probes)
     n_walks = _check_n_walks(n_walks)
-
-    def worker(lo: int, hi: int):
-        q = np.arange(lo, hi, dtype=np.int64)
-        batch = run_walks(domain, probe_points[q // n_walks], config, master_seed, q)
-        hits = np.linalg.norm(batch.exit_points - y0, axis=1) <= delta
-        return hits, batch.truncated
-
-    parts = _map_chunks(worker, len(starts) * n_walks, _check_threads(threads))
-    hits = np.concatenate([p[0] for p in parts])
-    truncated = np.concatenate([p[1] for p in parts])
+    batch = exit_sample(domain, np.repeat(probe_points, n_walks, axis=0), config,
+                        master_seed, len(starts) * n_walks, threads=threads)
+    hits = np.linalg.norm(batch.exit_points - y0, axis=1) <= delta
     probes = []
     for i, x0 in enumerate(starts):
         walks = slice(i * n_walks, (i + 1) * n_walks)
-        ok = ~truncated[walks]
-        _require_sane_truncation(int(truncated[walks].sum()), n_walks)
+        ok = ~batch.truncated[walks]
+        _require_sane_truncation(int(batch.truncated[walks].sum()), n_walks)
         n_ok = int(ok.sum())
         p = float(hits[walks][ok].mean())
         stderr = math.sqrt(p * (1.0 - p) / n_ok)
@@ -356,19 +353,12 @@ def estimate_escape_probability(
         raise ValueError("x0 must lie inside the open domain")
     config = WalkConfig(epsilon=epsilon, stop_tolerance=stop_tolerance,
                         max_steps=max_steps)
-
-    def worker(lo: int, hi: int):
-        batch = run_walks(domain, x0, config, master_seed,
-                          np.arange(lo, hi, dtype=np.int64), excursion_center=y0)
-        return batch.max_excursion, batch.truncated
-
-    parts = _map_chunks(worker, int(n_walks), int(threads))
-    excursion = np.concatenate([p[0] for p in parts])
-    truncated = np.concatenate([p[1] for p in parts])
-    _require_sane_truncation(int(truncated.sum()), int(n_walks))
-    ok = ~truncated
+    batch = exit_sample(domain, x0, config, master_seed, n_walks,
+                        excursion_center=y0, threads=threads)
+    _require_sane_truncation(int(batch.truncated.sum()), batch.truncated.size)
+    ok = ~batch.truncated
     n_ok = int(ok.sum())
-    escaped = excursion[ok] >= delta
+    escaped = batch.max_excursion[ok] >= delta
     p = float(escaped.mean())
     stderr = math.sqrt(p * (1.0 - p) / n_ok)
     return p, stderr
@@ -464,18 +454,16 @@ def irregularity_witness(
         raise ValueError("start distances must be positive")
     direction = _approach_direction(domain, y0, dist_list)
     data = DistanceTo(y0)
+    starts = y0 + np.asarray(dist_list)[:, None] * direction
     rows = []
-    k = 0
-    for eps in eps_list:
+    for i, eps in enumerate(eps_list):
         config = WalkConfig(epsilon=eps, stop_tolerance=stop_tolerance,
                             max_steps=max_steps)
-        for d in dist_list:
-            x0 = y0 + d * direction
-            est = estimate_value(domain, data, x0, config, master_seed, n_walks,
-                                 stream_base=k * n_walks, threads=threads)
-            x0.setflags(write=False)
-            rows.append(WitnessRow(epsilon=eps, start_distance=d, x0=x0,
+        field = estimate_field(domain, data, starts, config, master_seed, n_walks,
+                               stream_base=i * len(dist_list) * n_walks, threads=threads)
+        for j, d in enumerate(dist_list):
+            est = field.estimate_at(j)
+            rows.append(WitnessRow(epsilon=eps, start_distance=d, x0=field.points[j],
                                    mean=est.mean, stderr=est.stderr, n=est.n,
                                    truncated_count=est.truncated_count))
-            k += 1
     return IrregularityTable(y0=y0, rows=tuple(rows))

@@ -30,20 +30,6 @@ COMMANDS = ("solve", "field", "exitdist", "regularity", "escape", "cone",
 
 _EXECUTION_KEYS = {"threads", "out", "trace"}
 
-_DEFAULTS = {
-    "max_steps": 10_000_000,
-    "walks": 10_000,
-    "threads": 1,
-    "format": "json",
-    "svg": False,
-    "probes": 5,
-    "n_outer": 16,
-    "n_inner": 2000,
-    "n_samples": 100_000,
-    "sigmas": 4.0,
-}
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description; equal configs give equal reports."""
@@ -146,16 +132,15 @@ def _resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
         if value is None:
             continue
         values[key] = _COERCERS[key](value)
-    for key, default in _DEFAULTS.items():
-        values.setdefault(key, default)
     if "seed" not in values:
         env = os.environ.get("BALLWALK_SEED")
         values["seed"] = int(env) if env else 0
-    if values["format"] not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {values['format']!r}")
-    if values["threads"] < 1:
+    config = RunConfig(**values)
+    if config.format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {config.format!r}")
+    if config.threads < 1:
         raise ValueError("threads must be a positive integer")
-    return RunConfig(**values)
+    return config
 
 
 def emit_config(config: RunConfig) -> str:

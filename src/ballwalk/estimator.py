@@ -5,7 +5,9 @@ data at the walk's exit location.  Estimates come with standard errors, and
 every sampling routine is bitwise deterministic for a given seed no matter
 how the work is split across threads: walk k always consumes stream
 ``stream_base + k``, chunk statistics are pure functions of the chunk index,
-and chunks are merged in index order.
+and chunks are merged in index order.  This is the one module that fans
+walks out over threads; the diagnostics run their walks through
+exit_sample or estimate_field.
 """
 
 from __future__ import annotations
@@ -266,15 +268,25 @@ def exit_sample(
     n_walks: int,
     *,
     stream_base: int = 0,
+    excursion_center=None,
     threads: int = 1,
 ) -> WalkBatch:
-    """Simulate n_walks exits from x0; walk k uses stream stream_base + k."""
+    """Simulate n_walks exits; walk k uses stream stream_base + k.
+
+    ``x0`` is one start (n,) shared by every walk or one start per walk
+    (n_walks, n); ``excursion_center`` is passed to run_walks.
+    """
     n_walks = _check_n_walks(n_walks)
     threads = _check_threads(threads)
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.ndim == 2 and x0.shape[0] != n_walks:
+        raise ValueError(f"got {x0.shape[0]} start points for {n_walks} walks")
 
     def worker(lo: int, hi: int) -> WalkBatch:
         idx = stream_base + np.arange(lo, hi, dtype=np.int64)
-        return run_walks(domain, x0, config, master_seed, idx)
+        starts = x0[lo:hi] if x0.ndim == 2 else x0
+        return run_walks(domain, starts, config, master_seed, idx,
+                         excursion_center=excursion_center)
 
     parts = _map_chunks(worker, n_walks, threads)
     return WalkBatch(
@@ -325,11 +337,12 @@ def estimate_field(
     master_seed: int,
     n_walks: int,
     *,
+    stream_base: int = 0,
     threads: int = 1,
 ) -> FieldResult:
     """Estimate the solution at many points; point j owns walk streams
-    [j * n_walks, (j + 1) * n_walks), so adding or skipping points never
-    shifts another point's randomness."""
+    stream_base + [j * n_walks, (j + 1) * n_walks), so adding or skipping
+    points never shifts another point's randomness."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a (m, n) array")
@@ -340,8 +353,6 @@ def estimate_field(
 
     m = pts.shape[0]
     inside = domain.contains(pts)
-    if m == 1:
-        inside = np.asarray([inside])
     means = np.full(m, np.nan)
     stderrs = np.full(m, np.nan)
     counts = np.zeros(m, dtype=np.int64)
@@ -351,7 +362,7 @@ def estimate_field(
         if not inside[j]:
             continue
         est = estimate_value(domain, data, pts[j], config, master_seed, n_walks,
-                             stream_base=j * n_walks, threads=threads)
+                             stream_base=stream_base + j * n_walks, threads=threads)
         means[j] = est.mean
         stderrs[j] = est.stderr
         counts[j] = est.n

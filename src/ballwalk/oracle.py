@@ -43,11 +43,6 @@ class HarmonicOracle(abc.ABC):
         return np.zeros(a.shape[0])
 
 
-def laplacian_of(oracle: HarmonicOracle, x) -> float | _Array:
-    """Laplacian of an oracle at x: zero, by construction."""
-    return oracle.laplacian(x)
-
-
 class Linear(HarmonicOracle):
     """u(x) = a . x + b; harmonic everywhere."""
 

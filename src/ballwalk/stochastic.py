@@ -145,11 +145,6 @@ class RngStream:
         return replace(self, offset=self.offset + count)
 
 
-def derive_stream(master_seed: int, walk_index: int) -> RngStream:
-    """Derive the independent stream for one walk; pure in both arguments."""
-    return RngStream(int(master_seed), int(walk_index), 0)
-
-
 def sample_unit_ball(stream: RngStream, n_dim: int, count: int | None = None) -> _Array:
     """Uniform sample(s) from the open unit ball in n_dim dimensions.
 

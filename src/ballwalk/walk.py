@@ -27,7 +27,6 @@ from numpy.typing import NDArray
 
 from .geometry import Domain, _prep
 from .stochastic import (
-    RngStream,
     _as_u64,
     _stream_base,
     _unit_ball_from_base,
@@ -87,25 +86,6 @@ class WalkConfig:
 
 
 @dataclass(frozen=True)
-class WalkOutcome:
-    """Result of one walk: boundary exit, step count, cap flag, path spread."""
-
-    exit_point: _Array
-    steps: int
-    truncated_by_cap: bool
-    max_excursion: float
-    trace: _Array | None = None
-
-
-@dataclass(frozen=True)
-class StoppedOutcome:
-    """Result of a walk stopped on first departure from a reference ball."""
-
-    stop_point: _Array
-    stop_step: int
-
-
-@dataclass(frozen=True)
 class WalkBatch:
     """Columnar outcomes of a batch of walks (one row per stream index)."""
 
@@ -113,32 +93,6 @@ class WalkBatch:
     steps: NDArray[np.int64]
     truncated: NDArray[np.bool_]
     max_excursion: _Array
-
-
-def ball_walk_step(domain: Domain, x, epsilon: float, w) -> _Array:
-    """One ball-walk displacement: x + min(epsilon, dist(x)) * w."""
-    pts, single = _prep(x, domain.dim)
-    wv, wsingle = _prep(w, domain.dim)
-    if single != wsingle:
-        raise ValueError("x and w must have matching shapes")
-    d = -domain._sd(pts)
-    if np.any(d <= 0.0):
-        raise ValueError("ball_walk_step requires interior points")
-    out = pts + np.minimum(epsilon, d)[:, None] * wv
-    return out[0] if single else out
-
-
-def sphere_walk_step(domain: Domain, x, epsilon: float, w) -> _Array:
-    """One sphere-walk displacement: x + min(epsilon, dist(x) / 2) * w."""
-    pts, single = _prep(x, domain.dim)
-    wv, wsingle = _prep(w, domain.dim)
-    if single != wsingle:
-        raise ValueError("x and w must have matching shapes")
-    d = -domain._sd(pts)
-    if np.any(d <= 0.0):
-        raise ValueError("sphere_walk_step requires interior points")
-    out = pts + np.minimum(epsilon, 0.5 * d)[:, None] * wv
-    return out[0] if single else out
 
 
 class _StepDraws:
@@ -282,27 +236,6 @@ def run_walks(
     return batch
 
 
-def run_walk(domain: Domain, x0, config: WalkConfig, stream: RngStream,
-             *, record_trace: bool = False) -> WalkOutcome:
-    """Run a single walk on its stream; deterministic in (stream, inputs)."""
-    result = run_walks(
-        domain, x0, config, stream.master_seed, [stream.stream_index],
-        draw_offsets=stream.offset, record_trace=record_trace,
-    )
-    if record_trace:
-        batch, traces = result
-        trace = traces[0]
-    else:
-        batch, trace = result, None
-    return WalkOutcome(
-        exit_point=batch.exit_points[0],
-        steps=int(batch.steps[0]),
-        truncated_by_cap=bool(batch.truncated[0]),
-        max_excursion=float(batch.max_excursion[0]),
-        trace=trace,
-    )
-
-
 def run_stopped_walks(
     domain: Domain,
     x0,
@@ -358,12 +291,3 @@ def run_stopped_walks(
             cur = cur[keep]
             draws.drop(keep)
     return stop_points, stop_steps
-
-
-def run_until_exit_ball(domain: Domain, x0, epsilon: float, r: float,
-                        stream: RngStream, *, max_steps: int = 10_000_000) -> StoppedOutcome:
-    """Single stopped walk; see run_stopped_walks."""
-    points, steps = run_stopped_walks(
-        domain, x0, epsilon, r, stream.master_seed, [stream.stream_index],
-        draw_offsets=stream.offset, max_steps=max_steps)
-    return StoppedOutcome(stop_point=points[0], stop_step=int(steps[0]))

@@ -10,22 +10,29 @@ import numpy as np
 import pytest
 
 from ballwalk import (
+    AUX_STREAM_BASE,
     Ball,
     Constant,
+    Coordinate,
+    DistanceTo,
     FirstCoordinateQuartic,
     HarmonicQuadratic,
     HarmonicTrace,
     PuncturedBall,
+    RngStream,
     SquaredNorm,
     WalkConfig,
     averaging_residual,
     cone_bound_theta0,
     estimate_escape_probability,
     estimate_regularity,
+    estimate_value,
     exit_measure_stats,
     irregularity_witness,
     martingale_check,
     mean_value_residual,
+    run_walks,
+    sample_unit_ball,
 )
 from ballwalk.estimator import _CHUNK, exit_sample
 
@@ -55,6 +62,32 @@ def test_mean_value_residual_harmonic_within_noise():
 def test_mean_value_residual_needs_centers():
     with pytest.raises(ValueError):
         mean_value_residual(DISK, Constant(0.0), (0.0, 0.0), WalkConfig(0.2), 1, 50, 0)
+
+
+def _mean_value_residual_point_by_point(domain, data, x, config, n_outer, n_inner, seed,
+                                        threads):
+    """One estimate_value call per point: x on streams [0, n), center j on
+    [(j+1)*n, (j+2)*n), folded with a running mean."""
+    center = estimate_value(domain, data, x, config, seed, n_inner, threads=threads)
+    radius = min(config.epsilon, domain.distance_to_boundary(x))
+    offsets = sample_unit_ball(RngStream(seed, AUX_STREAM_BASE), domain.dim, n_outer)
+    mean = m2 = 0.0
+    for j in range(n_outer):
+        est = estimate_value(domain, data, np.asarray(x) + radius * offsets[j], config,
+                             seed, n_inner, stream_base=(j + 1) * n_inner, threads=threads)
+        delta = est.mean - mean
+        mean += delta / (j + 1)
+        m2 += delta * (est.mean - mean)
+    outer_stderr = math.sqrt(m2 / (n_outer - 1) / n_outer)
+    return center.mean - mean, math.hypot(center.stderr, outer_stderr)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mean_value_residual_equals_point_by_point(threads):
+    args = (DISK, Coordinate(1), (0.3, 0.1), WalkConfig(0.15), 6, 300, 4)
+    got = mean_value_residual(*args, threads=threads)
+    assert got == _mean_value_residual_point_by_point(*args, threads)
+    assert all(type(v) is float for v in got)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +242,25 @@ def test_escape_needs_interior_start():
         estimate_escape_probability(DISK, (1.0, 0.0), 0.5, (1.01, 0.0), 0.02, 10, 0)
 
 
+@pytest.mark.parametrize("n_walks, threads", [(2.7, 1), (0, 1), (10, 0), (10, -3), (10, 1.5)])
+def test_escape_validates_walks_and_threads(n_walks, threads):
+    with pytest.raises(ValueError):
+        estimate_escape_probability(DISK, (1.0, 0.0), 0.3, (0.97, 0.0), 0.02, n_walks, 0,
+                                    threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_escape_equals_one_run_walks_batch(threads):
+    # more walks than one chunk, so threads=2 splits them
+    n, y0, delta = _CHUNK + 500, np.array([1.0, 0.0]), 0.3
+    got = estimate_escape_probability(DISK, y0, delta, (0.9, 0.0), 0.2, n, 9,
+                                      threads=threads)
+    batch = run_walks(DISK, (0.9, 0.0), WalkConfig(0.2), 9, range(n), excursion_center=y0)
+    ok = ~batch.truncated
+    p = float((batch.max_excursion[ok] >= delta).mean())
+    assert got == (p, math.sqrt(p * (1.0 - p) / int(ok.sum())))
+
+
 def test_cone_bound_pinned_values():
     assert cone_bound_theta0(3, 1.0) == pytest.approx(8.0 / 9.0, abs=1e-12)
     assert cone_bound_theta0(2, 1.0) == pytest.approx(
@@ -264,6 +316,25 @@ def test_irregularity_witness_structure():
     assert table.rows[3].mean < 0.25
     again = irregularity_witness(DISK, (1.0, 0.0), [0.1, 0.05], [0.05, 0.01], 200, 3)
     assert [r.mean for r in again.rows] == [r.mean for r in table.rows]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_irregularity_witness_equals_point_by_point(threads):
+    # row k (epsilon i, distance j) runs on streams [k*n, (k+1)*n), k = i*len(distances) + j
+    y0, epsilons, distances, n = np.array([1.0, 0.0]), [0.1, 0.05], [0.05, 0.01], 300
+    table = irregularity_witness(DISK, y0, epsilons, distances, n, 3, threads=threads)
+    k = 0
+    for eps in epsilons:
+        for d in distances:
+            x0 = y0 + d * np.array([-1.0, 0.0])
+            est = estimate_value(DISK, DistanceTo(y0), x0, WalkConfig(eps), 3, n,
+                                 stream_base=k * n, threads=threads)
+            row = table.rows[k]
+            assert np.array_equal(row.x0, x0)
+            assert (row.mean, row.stderr, row.n, row.truncated_count) == (
+                est.mean, est.stderr, est.n, est.truncated_count)
+            assert type(row.mean) is float and type(row.n) is int
+            k += 1
 
 
 def test_irregularity_witness_validation():

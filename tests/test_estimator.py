@@ -127,6 +127,15 @@ def test_exit_sample_matches_run_walks_streams():
     direct = run_walks(DISK, (0.2, 0.2), CFG, 9, range(40, 340))
     np.testing.assert_array_equal(batch.exit_points, direct.exit_points)
     np.testing.assert_array_equal(batch.steps, direct.steps)
+    # one start per walk, with the excursion measured from another point
+    starts = np.column_stack([np.linspace(-0.5, 0.5, 300), np.zeros(300)])
+    batch = exit_sample(DISK, starts, CFG, 9, 300, stream_base=40,
+                        excursion_center=(1.0, 0.0), threads=2)
+    direct = run_walks(DISK, starts, CFG, 9, range(40, 340), excursion_center=(1.0, 0.0))
+    np.testing.assert_array_equal(batch.exit_points, direct.exit_points)
+    np.testing.assert_array_equal(batch.max_excursion, direct.max_excursion)
+    with pytest.raises(ValueError):
+        exit_sample(DISK, starts, CFG, 9, 299)
 
 
 def test_truncation_beyond_budget_raises():
@@ -147,6 +156,13 @@ def test_field_rows_match_estimate_value():
         assert est is not None and est.mean == direct.mean
     assert field.skipped == ()
     assert field.n_walks == n
+    # stream_base shifts every point's streams by the same amount
+    shifted = estimate_field(DISK, Coordinate(1), pts, CFG, 21, n, stream_base=10**6)
+    for j, x in enumerate(pts):
+        direct = estimate_value(DISK, Coordinate(1), x, CFG, 21, n,
+                                stream_base=10**6 + j * n)
+        assert shifted.means[j] == direct.mean
+        assert shifted.stderrs[j] == direct.stderr
 
 
 def test_field_skips_exterior_points():
@@ -157,6 +173,11 @@ def test_field_skips_exterior_points():
     assert field.counts[1] == 0
     assert field.estimate_at(1) is None
     assert field.means[0] == 1.0 and field.means[2] == 1.0
+    # a one-row batch keeps the (1,) shape, interior or not
+    one = estimate_field(DISK, Constant(1.0), [(0.1, 0.1)], CFG, 3, 50)
+    assert one.skipped == () and one.means.shape == (1,) and one.means[0] == 1.0
+    out = estimate_field(DISK, Constant(1.0), [(2.0, 0.0)], CFG, 3, 50)
+    assert out.skipped == (0,) and out.means.shape == (1,) and np.isnan(out.means[0])
 
 
 def test_field_threads_invariant():

@@ -16,7 +16,6 @@ from ballwalk import (
     Linear,
     PoissonDisk,
     SquaredNorm,
-    laplacian_of,
     parse_oracle,
     poisson_disk_eval,
     radial_profile,
@@ -38,7 +37,7 @@ def test_linear_eval_and_laplacian():
     assert u.eval((1.0, 1.0)) == pytest.approx(1.5, abs=1e-15)
     pts = np.array([[0.0, 0.0], [1.0, 2.0]])
     np.testing.assert_allclose(u.eval(pts), [0.5, 0.5], atol=1e-15)
-    assert laplacian_of(u, (0.3, 0.3)) == 0.0
+    assert u.laplacian((0.3, 0.3)) == 0.0
 
 
 def test_quadratic_eval():
@@ -163,7 +162,7 @@ def test_poisson_disk_class_is_harmonic():
     for _ in range(10):
         x = rng.uniform(-0.4, 0.4, size=2)
         assert abs(_fd_laplacian(lambda p: float(disk.eval(p)), x)) < 1e-5
-    assert laplacian_of(disk, (0.1, 0.2)) == 0.0
+    assert disk.laplacian((0.1, 0.2)) == 0.0
 
 
 @given(st.floats(0.01, 0.99), st.floats(0, 2 * np.pi))

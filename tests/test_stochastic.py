@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from ballwalk import (
     RngStream,
-    derive_stream,
     draws_per_ball,
     draws_per_sphere,
     sample_unit_ball,
@@ -51,12 +50,6 @@ def test_offset_equals_advanced():
     assert np.array_equal(
         RngStream(7, 3, offset=11).uniforms(16),
         RngStream(7, 3).advanced(11).uniforms(16),
-    )
-
-
-def test_derive_stream_matches_constructor():
-    assert np.array_equal(
-        derive_stream(99, 12).uniforms(8), RngStream(99, 12).uniforms(8)
     )
 
 

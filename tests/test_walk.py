@@ -18,16 +18,12 @@ from ballwalk import (
     PuncturedBall,
     RngStream,
     WalkConfig,
-    ball_walk_step,
     draws_per_ball,
     draws_per_sphere,
     run_stopped_walks,
-    run_until_exit_ball,
-    run_walk,
     run_walks,
     sample_unit_ball,
     sample_unit_sphere,
-    sphere_walk_step,
 )
 
 DISK = Ball((0.0, 0.0), 1.0)
@@ -88,17 +84,6 @@ def test_resolved_stop_default_scales_with_diameter():
     assert WalkConfig(0.1, stop_tolerance=1e-7).resolved_stop(DISK) == 1e-7
 
 
-def test_single_steps_respect_distance_cap():
-    x = np.array([0.7, 0.0])
-    dist = 0.3
-    w = sample_unit_ball(RngStream(3, 0), 2)
-    y = ball_walk_step(DISK, x, 0.2, w)
-    assert np.linalg.norm(y - x) <= min(0.2, dist) + 1e-15
-    v = w / np.linalg.norm(w)
-    z = sphere_walk_step(DISK, x, 0.2, v)
-    assert np.linalg.norm(z - x) == pytest.approx(min(0.2, dist / 2.0), rel=1e-14)
-
-
 @given(st.integers(0, 2**40), st.floats(0.02, 0.5))
 @settings(max_examples=25, deadline=None)
 def test_exit_lands_on_boundary(seed, eps):
@@ -115,10 +100,10 @@ def test_batch_matches_single_walks():
     idx = [4, 0, 31]
     batch = run_walks(DISK, (0.3, -0.2), cfg, 99, idx)
     for row, k in enumerate(idx):
-        single = run_walk(DISK, (0.3, -0.2), cfg, RngStream(99, k))
-        assert np.array_equal(batch.exit_points[row], single.exit_point)
-        assert batch.steps[row] == single.steps
-        assert batch.max_excursion[row] == single.max_excursion
+        single = run_walks(DISK, (0.3, -0.2), cfg, 99, [k])
+        assert np.array_equal(batch.exit_points[row], single.exit_points[0])
+        assert batch.steps[row] == single.steps[0]
+        assert batch.max_excursion[row] == single.max_excursion[0]
 
 
 def test_trace_is_the_walk():
@@ -162,8 +147,8 @@ def test_truncation_flags():
     assert np.all(batch.steps == 3)
     # truncated walks still land their report point on the boundary
     assert not np.any(DISK.contains(batch.exit_points))
-    single = run_walk(DISK, (0.0, 0.0), cfg, RngStream(1, 0))
-    assert single.truncated_by_cap
+    single = run_walks(DISK, (0.0, 0.0), cfg, 1, [0])
+    assert single.truncated[0] and single.steps[0] == 3
 
 
 def test_excursion_center_shift():
@@ -203,9 +188,9 @@ def test_stopped_walks_ring():
     assert np.all(d >= r)
     assert np.all(d < r + eps)
     assert np.all(steps >= 1)
-    single = run_until_exit_ball(DISK, x0, eps, r, RngStream(17, 3))
-    assert np.array_equal(single.stop_point, pts[3])
-    assert single.stop_step == steps[3]
+    single_pts, single_steps = run_stopped_walks(DISK, x0, eps, r, 17, [3])
+    assert np.array_equal(single_pts[0], pts[3])
+    assert single_steps[0] == steps[3]
 
 
 def test_stopped_walks_need_room():
@@ -218,12 +203,12 @@ def test_stopped_walks_need_room():
 
 def test_stopped_walk_honours_the_stream_offset():
     x0, eps, r = (0.0, 0.0), 0.05, 0.3
-    plain = run_until_exit_ball(DISK, x0, eps, r, RngStream(17, 3))
-    moved = run_until_exit_ball(DISK, x0, eps, r, RngStream(17, 3, offset=50))
-    assert not np.array_equal(moved.stop_point, plain.stop_point)
+    plain_pts, _ = run_stopped_walks(DISK, x0, eps, r, 17, [3])
+    moved_pts, moved_steps = run_stopped_walks(DISK, x0, eps, r, 17, [3], draw_offsets=50)
+    assert not np.array_equal(moved_pts[0], plain_pts[0])
     pts, steps = run_stopped_walks(DISK, x0, eps, r, 17, range(8), draw_offsets=50)
-    assert np.array_equal(moved.stop_point, pts[3])
-    assert moved.stop_step == steps[3]
+    assert np.array_equal(moved_pts[0], pts[3])
+    assert moved_steps[0] == steps[3]
 
 
 def test_walks_work_in_a_box():
