@@ -23,6 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .estimator import (
+    AUX_STREAM_BASE,
     BoundaryData,
     DistanceTo,
     _check_n_walks,
@@ -36,8 +37,6 @@ from .stochastic import RngStream, sample_unit_ball
 from .walk import WalkConfig, run_stopped_walks
 
 _Array = NDArray[np.float64]
-
-AUX_STREAM_BASE = 2**60
 
 _PROBE_TRIAL_CAP = 10_000
 

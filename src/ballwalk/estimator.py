@@ -5,9 +5,10 @@ data at the walk's exit location.  Estimates come with standard errors, and
 every sampling routine is bitwise deterministic for a given seed no matter
 how the work is split across threads: walk k always consumes stream
 ``stream_base + k``, chunk statistics are pure functions of the chunk index,
-and chunks are merged in index order.  This is the one module that fans
-walks out over threads; the diagnostics run their walks through
-exit_sample or estimate_field.
+and chunks are merged in index order.  Each kernel call runs a span of two
+consecutive chunks, whose walks share the kernel's refilled lanes.  This is
+the one module that fans walks out over threads; the diagnostics run their
+walks through exit_sample or estimate_field.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import abc
 import concurrent.futures
 import dataclasses
 import math
+import operator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,9 +28,16 @@ from .walk import WalkBatch, WalkConfig, run_walks
 
 _Array = NDArray[np.float64]
 
-# Walks per work unit.  Statistics are accumulated per chunk and folded in
-# chunk order, so results do not depend on the thread count.
+# Walk streams lie below this index; auxiliary sampling (probe locations,
+# averaging centers, single-step draws) uses the streams from here up.
+AUX_STREAM_BASE = 2**60
+
+# Walks per statistics chunk.  Statistics are accumulated per chunk and folded
+# in chunk order, so results do not depend on the thread count.
 _CHUNK = 8192
+# Chunks per kernel call, one call per thread task.  run_walks keeps at most
+# walk._LANES walks live and refills a lane as soon as its walk exits.
+_SPAN_CHUNKS = 2
 
 # Refuse estimates where more than this fraction of walks hit the step cap:
 # the truncation bias is no longer negligible against the standard error.
@@ -212,13 +221,26 @@ class FieldResult:
                         int(self.counts[j]), int(self.truncated[j]))
 
 
-def _chunk_ranges(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+def _stream_range(stream_base: int, lo: int, hi: int) -> NDArray[np.uint64]:
+    """Walk streams stream_base + [lo, hi) of one kernel call, as uint64.
+
+    Raises ValueError unless every index lies in [0, AUX_STREAM_BASE): walk
+    streams are never negative and never reach the auxiliary block, which
+    also keeps them inside int64.
+    """
+    first = operator.index(stream_base) + lo
+    stop = first + (hi - lo)
+    if first < 0 or stop > AUX_STREAM_BASE:
+        raise ValueError(
+            f"walk streams [{first}, {stop}) leave [0, AUX_STREAM_BASE = 2**60)")
+    return np.arange(first, stop, dtype=np.uint64)
 
 
 def _map_chunks(worker, n: int, threads: int) -> list:
-    """Run worker(lo, hi) over fixed chunks, returning results in chunk order."""
-    ranges = _chunk_ranges(n)
+    """Run worker(lo, hi) over fixed spans of _SPAN_CHUNKS chunks, returning
+    results in span order.  Span boundaries fall on chunk boundaries."""
+    span = _SPAN_CHUNKS * _CHUNK
+    ranges = [(lo, min(lo + span, n)) for lo in range(0, n, span)]
     if threads <= 1 or len(ranges) <= 1:
         return [worker(lo, hi) for lo, hi in ranges]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -283,9 +305,9 @@ def exit_sample(
         raise ValueError(f"got {x0.shape[0]} start points for {n_walks} walks")
 
     def worker(lo: int, hi: int) -> WalkBatch:
-        idx = stream_base + np.arange(lo, hi, dtype=np.int64)
         starts = x0[lo:hi] if x0.ndim == 2 else x0
-        return run_walks(domain, starts, config, master_seed, idx,
+        return run_walks(domain, starts, config, master_seed,
+                         _stream_range(stream_base, lo, hi),
                          excursion_center=excursion_center)
 
     parts = _map_chunks(worker, n_walks, threads)
@@ -312,14 +334,17 @@ def estimate_value(
     n_walks = _check_n_walks(n_walks, minimum=2)
     threads = _check_threads(threads)
 
-    def worker(lo: int, hi: int) -> tuple[tuple[int, float, float], int]:
-        idx = stream_base + np.arange(lo, hi, dtype=np.int64)
-        batch = run_walks(domain, x0, config, master_seed, idx)
-        ok = ~batch.truncated
-        values = np.asarray(data.eval(batch.exit_points[ok]), dtype=np.float64)
-        return _chunk_moments(values), int(batch.truncated.sum())
+    def worker(lo: int, hi: int) -> list[tuple[tuple[int, float, float], int]]:
+        batch = run_walks(domain, x0, config, master_seed, _stream_range(stream_base, lo, hi))
+        parts = []
+        for a in range(0, hi - lo, _CHUNK):     # lo is a chunk boundary
+            truncated = batch.truncated[a:a + _CHUNK]
+            exits = batch.exit_points[a:a + _CHUNK][~truncated]
+            values = np.asarray(data.eval(exits), dtype=np.float64)
+            parts.append((_chunk_moments(values), int(truncated.sum())))
+        return parts
 
-    parts = _map_chunks(worker, n_walks, threads)
+    parts = [part for span in _map_chunks(worker, n_walks, threads) for part in span]
     truncated_count = sum(t for _, t in parts)
     _require_sane_truncation(truncated_count, n_walks)
     n_used, mean, m2 = _merge_moments([s for s, _ in parts])
@@ -348,7 +373,7 @@ def estimate_field(
         raise ValueError("points must be a (m, n) array")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    n_walks = _check_n_walks(n_walks)
+    n_walks = _check_n_walks(n_walks, minimum=2)
     threads = _check_threads(threads)
 
     m = pts.shape[0]

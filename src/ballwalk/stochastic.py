@@ -28,6 +28,8 @@ _SEED_SALT = np.uint64(0xA3EC647659359ACD)
 # vector (probability ~2**-53 per Box-Muller pair); keeps redraws pure.
 _REDRAW_STRIDE = np.uint64(0x632BE59BD9B4E019)
 _INV_2_53 = 2.0 ** -53
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _check_dim(n_dim: int) -> None:
@@ -48,10 +50,20 @@ def _as_u64(values) -> _U64:
     return np.atleast_1d(out)
 
 
+def _mix64_inplace(z: _U64) -> _U64:
+    """The SplitMix64 finalizer applied to ``z`` in place; returns ``z``."""
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    return z
+
+
 def _mix64(z: _U64) -> _U64:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    return _mix64_inplace(np.array(z, dtype=np.uint64))
 
 
 def _stream_base(master_seed: int, stream_indices) -> _U64:
@@ -84,39 +96,78 @@ def draws_per_ball(n_dim: int) -> int:
     return draws_per_sphere(n_dim) + 1
 
 
-def _gaussian_block(base: _U64, first_draw: _U64, n_dim: int) -> _Array:
-    """Standard Gaussian rows of shape (len(base), n_dim) via Box-Muller."""
+def _uniform_rows(base: _U64, first_draw: _U64, count: int, pairs: int) -> _Array:
+    """Uniforms of draws first_draw + j, j < count, as rows (count, m).
+
+    Row j is _to_unit(_draw_values(base, first_draw + j)), open below for the
+    Box-Muller rows 0, 2, ..., 2 * pairs - 2 (safe for log).  The counters
+    base + (first_draw + 1 + j) * golden are built by one broadcast add and
+    mixed in place.
+    """
+    z = np.empty((count, base.shape[0]), dtype=np.uint64)
+    row0 = (first_draw + np.uint64(1)) * _GOLDEN
+    row0 += base
+    np.add(row0[None, :], (np.arange(count, dtype=np.uint64) * _GOLDEN)[:, None], out=z)
+    _mix64_inplace(z)
+    np.right_shift(z, np.uint64(11), out=z)
+    u = z.astype(np.float64)
+    u[0:2 * pairs:2] += 1.0
+    u *= _INV_2_53
+    return u
+
+
+def _gaussian_block(u: _Array, n_dim: int) -> _Array:
+    """Standard Gaussian rows (m, n_dim) via Box-Muller on uniform rows ``u``.
+
+    Pair i takes rows 2i and 2i + 1 of ``u``, which are consumed, and fills
+    columns 2i and 2i + 1 (the sine of an odd dimension's last pair is not
+    needed).
+    """
     pairs = (n_dim + 1) // 2
-    d = first_draw[:, None] + np.arange(2 * pairs, dtype=np.uint64)[None, :]
-    z = _draw_values(base[:, None], d)
-    u1 = _to_unit(z[:, 0::2], open_low=True)
-    u2 = _to_unit(z[:, 1::2])
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = (2.0 * np.pi) * u2
-    g = np.empty((base.shape[0], 2 * pairs))
-    g[:, 0::2] = r * np.cos(ang)
-    g[:, 1::2] = r * np.sin(ang)
-    return g[:, :n_dim]
+    half = n_dim // 2
+    r = u[0:2 * pairs:2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    ang = u[1:2 * pairs:2]
+    ang *= 2.0 * np.pi
+    g = np.empty((u.shape[1], n_dim))
+    np.multiply(r, np.cos(ang), out=g[:, 0::2].T)
+    np.multiply(r[:half], np.sin(ang[:half], out=ang[:half]), out=g[:, 1::2].T)
+    return g
 
 
-def _unit_sphere_from_base(base: _U64, first_draw: _U64, n_dim: int) -> _Array:
-    g = _gaussian_block(base, first_draw, n_dim)
+def _unit_directions(base: _U64, first_draw: _U64, n_dim: int, u: _Array) -> _Array:
+    """Normalized Gaussian rows from uniform rows ``u``; zero vectors are
+    redrawn at first_draw + attempt * _REDRAW_STRIDE."""
+    pairs = (n_dim + 1) // 2
+    g = _gaussian_block(u, n_dim)
     norm = np.sqrt(np.einsum("ij,ij->i", g, g))
     bad = norm == 0.0
     attempt = np.uint64(0)
     while np.any(bad):
         attempt = attempt + np.uint64(1)
-        g[bad] = _gaussian_block(base[bad], first_draw[bad] + attempt * _REDRAW_STRIDE, n_dim)
+        first = first_draw[bad] + attempt * _REDRAW_STRIDE
+        g[bad] = _gaussian_block(_uniform_rows(base[bad], first, 2 * pairs, pairs), n_dim)
         norm[bad] = np.sqrt(np.einsum("ij,ij->i", g[bad], g[bad]))
         bad = norm == 0.0
-    return g / norm[:, None]
+    g /= norm[:, None]
+    return g
+
+
+def _unit_sphere_from_base(base: _U64, first_draw: _U64, n_dim: int) -> _Array:
+    pairs = (n_dim + 1) // 2
+    u = _uniform_rows(base, first_draw, 2 * pairs, pairs)
+    return _unit_directions(base, first_draw, n_dim, u)
 
 
 def _unit_ball_from_base(base: _U64, first_draw: _U64, n_dim: int) -> _Array:
-    w = _unit_sphere_from_base(base, first_draw, n_dim)
-    zr = _draw_values(base, first_draw + np.uint64(draws_per_sphere(n_dim)))
-    radius = _to_unit(zr) ** (1.0 / n_dim)
-    return w * radius[:, None]
+    pairs = (n_dim + 1) // 2
+    u = _uniform_rows(base, first_draw, 2 * pairs + 1, pairs)
+    radius = u[2 * pairs] ** (1.0 / n_dim)
+    w = _unit_directions(base, first_draw, n_dim, u)
+    w *= radius[:, None]
+    return w
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ as its exit point; a step cap marks the outcome truncated instead of raising.
 
 The batch runner advances many walks in lockstep with vectorized numpy ops,
 from one shared start or from one start per walk.  Each walk consumes draws
-addressed by (master_seed, stream_index, step).  While only a few walks are
-still running, their draws are prefetched several steps at a time in one
-sampler call, at the same addresses.  Exits are projected once per batch,
-after the loop, from every walk's final position; each shape's projection
-is row-wise, so this gives the same exits as projecting walks as they stop.
-Outcomes are therefore independent of batch composition and block size, for
-every shape: running a walk alone, in a chunk, or under any thread count is
-bitwise identical on one machine and numpy build.
+addressed by (master_seed, stream_index, step), its steps counted from its
+own start: at most _LANES walks are live, and while walks are pending, a
+lane whose walk exits takes the next walk in place.  While only a few walks
+are still running, their draws are prefetched several steps at a time in one
+sampler call, at the same addresses.  Exits are projected after the loop,
+from every walk's final position, _LANES rows per call; each shape's
+projection is row-wise, so this gives the same exits as projecting walks as
+they stop.  Outcomes are therefore independent of batch composition, lane
+count and block size, for every shape: running a walk alone, in a chunk, or
+under any thread count is bitwise identical on one machine and numpy build.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ STOP_TOLERANCE_FACTOR = 1e-4
 # about _PREFETCH_ROWS samples: _PREFETCH_ROWS // live steps ahead for every
 # live walk.
 _PREFETCH_ROWS = 1024
+# At most this many walks of a run_walks call are live at once; while walks
+# are pending, a lane whose walk exits takes the next one.
+_LANES = 8192
 
 
 @dataclass(frozen=True)
@@ -96,47 +101,60 @@ class WalkBatch:
 
 
 class _StepDraws:
-    """Per-step unit-ball or unit-sphere draws for the live walks of a batch.
+    """Per-step unit-ball or unit-sphere draws for the walks in a batch's lanes.
 
-    Step t of a walk reads the sample whose first draw is offset + t * per on
-    the walk's stream, whatever the batch.  While the live batch is narrower
-    than _PREFETCH_ROWS, one sampler call fills a block of k steps for every
-    live walk; rows of walks that leave are dropped from the block.  Block
-    depth therefore changes how many calls are made, never a sample.
+    Step s of a walk reads the sample whose first draw is offset + s * per on
+    the walk's stream, whatever the batch.  A lane stores offset - a * per
+    (mod 2**64) for a walk admitted at iteration a, so iteration t reads
+    lane offset + t * per for every lane alike.  While the live batch is
+    narrower than _PREFETCH_ROWS, one sampler call fills a block of k
+    iterations for every lane; rows of walks that leave are dropped from the
+    block, and admitting a walk drops the whole block.  Block depth therefore
+    changes how many calls are made, never a sample.
     """
 
     def __init__(self, n_dim: int, sphere: bool, master_seed: int, stream_indices,
-                 draw_offsets, max_steps: int):
+                 draw_offsets, max_steps: int, lanes: int):
         m = stream_indices.shape[0]
         self._n_dim = n_dim
         self._sampler = _unit_sphere_from_base if sphere else _unit_ball_from_base
         self._per = np.uint64(draws_per_sphere(n_dim) if sphere else draws_per_ball(n_dim))
-        self._bases = _stream_base(master_seed, stream_indices)
-        self._offsets = np.broadcast_to(_as_u64(draw_offsets), (m,))
+        self._all_bases = _stream_base(master_seed, stream_indices)
+        self._all_offsets = np.broadcast_to(_as_u64(draw_offsets), (m,))
+        self._bases = self._all_bases[:lanes].copy()
+        self._offsets = self._all_offsets[:lanes].copy()
         self._max_steps = max_steps
-        self._block: _Array | None = None   # (live, k, n): steps block_t .. block_t + k - 1
+        self._horizon = max_steps   # no lane steps at or past this iteration
+        self._block: _Array | None = None   # (live, k, n): iterations block_t .. block_t + k - 1
         self._block_t = 0
 
     def drop(self, keep: NDArray[np.bool_]) -> None:
-        """Forget the walks whose ``keep`` flag is False."""
+        """Forget the lanes whose ``keep`` flag is False."""
         self._bases = self._bases[keep]
         self._offsets = self._offsets[keep]
         if self._block is not None:
             self._block = self._block[keep]
 
+    def admit(self, lanes: NDArray[np.intp], walks: NDArray[np.intp], t: int) -> None:
+        """Give ``lanes`` to ``walks``, whose step 0 is iteration t."""
+        self._bases[lanes] = self._all_bases[walks]
+        self._offsets[lanes] = self._all_offsets[walks] - np.uint64(t) * self._per
+        self._horizon = t + self._max_steps
+        self._block = None
+
     def take(self, t: int) -> _Array:
-        """The step-t samples of the live walks, shape (live, n)."""
+        """The iteration-t samples of the lanes, shape (live, n)."""
         block = self._block
         if block is None:
             live = self._bases.shape[0]
-            k = max(1, min(_PREFETCH_ROWS // live, self._max_steps - t))
+            k = max(1, min(_PREFETCH_ROWS // live, self._horizon - t))
             first = self._offsets[:, None] + np.arange(t, t + k, dtype=np.uint64) * self._per
             w = self._sampler(np.repeat(self._bases, k), first.ravel(), self._n_dim)
             block = w.reshape(live, k, self._n_dim)
             self._block_t = t
         j = t - self._block_t
-        # Steps are taken in order, so a block is released once its last step
-        # is read and drop() never gathers rows that will not be read.
+        # Iterations are taken in order, so a block is released once its last
+        # step is read and drop() never gathers rows that will not be read.
         self._block = block if j + 1 < block.shape[1] else None
         return block[:, j]
 
@@ -160,6 +178,10 @@ def run_walks(
     escape-probability estimator measures spread around a boundary point).
     With ``record_trace`` the full position history is returned as one
     (steps+1, n) array per walk; use small batches.
+
+    At most _LANES walks are live at once.  While walks are pending, a lane
+    whose walk exits takes the next walk, in stream-index order; its step s
+    is iteration (admission + s), so no outcome depends on when it joined.
     """
     idx = _as_u64(stream_indices)
     m = idx.shape[0]
@@ -171,66 +193,99 @@ def run_walks(
         raise ValueError("walks must start inside the open domain")
     tol = config.resolved_stop(domain)
     eps = config.epsilon
+    max_steps = config.max_steps
     sphere = config.kind == SPHERE
-    draws = _StepDraws(n, sphere, master_seed, idx, draw_offsets, config.max_steps)
+    lanes = min(_LANES, m)
+    draws = _StepDraws(n, sphere, master_seed, idx, draw_offsets, max_steps, lanes)
 
-    # Live state is kept compact (one row per live walk, in ``alive`` order)
-    # and written to the outputs only when walks leave the batch.
-    cur = np.broadcast_to(starts, (m, n)).copy()
+    # Lane state is kept compact (one row per lane, in ``alive`` order) and
+    # written to the outputs only when walks leave the batch.
+    cur = np.broadcast_to(starts, (m, n))[:lanes].copy()
     if excursion_center is not None:
         ref = _prep(excursion_center, n)[0][0]
     else:
-        ref = starts[0] if shared else starts
+        ref = starts[0] if shared else starts[:lanes].copy()
     # A shared start's excursion uses the same 1-D norm as the distance
     # callers compare it with (estimate_escape_probability's start_distance).
     if shared:
-        exc = np.full(m, float(np.linalg.norm(starts[0] - ref)))
+        start_exc = float(np.linalg.norm(starts[0] - ref))
+        exc = np.full(lanes, start_exc)
     else:
-        exc = np.linalg.norm(starts - ref, axis=1)
+        if excursion_center is None:
+            start_exc = np.zeros(m)
+        else:
+            start_exc = np.linalg.norm(starts - ref, axis=1)
+        exc = start_exc[:lanes].copy()
     final = np.empty((m, n))
+    # A live walk's entry holds the iteration of its step 0; it becomes the
+    # walk's step count when the walk leaves.
     steps = np.zeros(m, dtype=np.int64)
     truncated = np.zeros(m, dtype=bool)
     excursion = np.empty(m)
-    traces: list[list[_Array]] = [[row.copy()] for row in cur] if record_trace else []
+    traces: list[list[_Array]] = (
+        [[row.copy()] for row in np.broadcast_to(starts, (m, n))] if record_trace else [])
 
-    alive = np.arange(m)
+    alive = np.arange(lanes)    # the walk in each lane
+    pending = lanes             # the next walk to admit
     t = 0
     while alive.size:
         dist = -domain._sd(cur)
         np.maximum(dist, 0.0, out=dist)
         done = dist < tol
+        if t >= max_steps:
+            capped = ~done & (t - steps[alive] >= max_steps)
+            truncated[alive[capped]] = True
+            done |= capped
+        refill = None
         if np.any(done):
             rows = alive[done]
             final[rows] = cur[done]
-            steps[rows] = t
+            steps[rows] = t - steps[rows]
             excursion[rows] = exc[done]
-            keep = ~done
-            alive = alive[keep]
-            if alive.size == 0:
-                break
-            cur = cur[keep]
-            dist = dist[keep]
-            exc = exc[keep]
-            if ref.ndim == 2:
-                ref = ref[keep]
-            draws.drop(keep)
-        if t >= config.max_steps:
-            truncated[alive] = True
-            final[alive] = cur
-            steps[alive] = t
-            excursion[alive] = exc
-            break
+            compact = True
+            if pending < m:
+                # These lanes step once more with their exited walks, unread,
+                # and take new walks after the step; the rest are dropped.
+                refill = np.flatnonzero(done)[:m - pending]
+                done[refill] = False
+                compact = refill.size < rows.size
+            if compact:
+                keep = ~done
+                alive = alive[keep]
+                if alive.size == 0:
+                    break
+                cur = cur[keep]
+                dist = dist[keep]
+                exc = exc[keep]
+                if ref.ndim == 2:
+                    ref = ref[keep]
+                draws.drop(keep)
         radius = np.minimum(eps, 0.5 * dist) if sphere else np.minimum(eps, dist)
-        cur = cur + radius[:, None] * draws.take(t)
+        cur += radius[:, None] * draws.take(t)
         np.maximum(exc, np.linalg.norm(cur - ref, axis=1), out=exc)
         if record_trace:
+            parked = set(refill.tolist()) if refill is not None else set()
             for k, row in enumerate(alive):
-                traces[row].append(cur[k].copy())
+                if k not in parked:
+                    traces[row].append(cur[k].copy())
         t += 1
+        if refill is not None:
+            walks = np.arange(pending, pending + refill.size)
+            pending += refill.size
+            alive[refill] = walks
+            steps[walks] = t
+            cur[refill] = starts[0] if shared else starts[walks]
+            exc[refill] = start_exc if shared else start_exc[walks]
+            if ref.ndim == 2:
+                ref[refill] = starts[walks]
+            draws.admit(refill, walks, t)
 
-    # Exits are projected in one call; _project works row by row, so how many
-    # walks share the call never changes an exit.
-    batch = WalkBatch(domain._project(final), steps, truncated, excursion)
+    # Exits are projected after the loop, one call per _LANES rows, in place;
+    # _project works row by row, so how many walks share a call never changes
+    # an exit.
+    for lo in range(0, m, lanes):
+        final[lo:lo + lanes] = domain._project(final[lo:lo + lanes])
+    batch = WalkBatch(final, steps, truncated, excursion)
     if record_trace:
         return batch, [np.asarray(tr) for tr in traces]
     return batch
@@ -267,7 +322,7 @@ def run_stopped_walks(
     idx = _as_u64(stream_indices)
     m = idx.shape[0]
     n = domain.dim
-    draws = _StepDraws(n, False, master_seed, idx, draw_offsets, max_steps)
+    draws = _StepDraws(n, False, master_seed, idx, draw_offsets, max_steps, m)
 
     cur = np.broadcast_to(x0v, (m, n)).copy()
     stop_points = np.empty((m, n))

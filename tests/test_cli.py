@@ -139,6 +139,15 @@ def test_field_csv_and_svg(tmp_path):
     assert svg.count("<rect") == 9
 
 
+@pytest.mark.parametrize("domain", ["annulus(0,0;0.5,1)", "ball(0,0;1)"])
+def test_field_refuses_one_walk(domain, capsys):
+    # the annulus's only grid point is in the hole, the disk's is interior
+    code = main(["field", "--domain", domain, "--data", "constant(1)", "--eps", "0.2",
+                 "--walks", "1", "--grid", "1,1"])
+    assert code == 1
+    assert "n_walks must be an integer >= 2" in capsys.readouterr().err
+
+
 def test_exitdist_csv(tmp_path):
     out = tmp_path / "exits.csv"
     assert main(

@@ -4,11 +4,15 @@ The two load-bearing properties here are exactness on constants and
 bitwise invariance of the reduction under any thread count; everything
 else is cross-checks against plain numpy statistics on the same exits.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ballwalk
+from ballwalk import analysis, estimator, walk
 from ballwalk import (
     Ball,
     Box,
@@ -25,6 +29,7 @@ from ballwalk import (
     estimate_value,
     exit_sample,
     parse_boundary_data,
+    run_walks,
     tietze_extend,
 )
 
@@ -186,6 +191,75 @@ def test_field_threads_invariant():
     b = estimate_field(DISK, Coordinate(2), pts, CFG, 17, 600, threads=4)
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.stderrs, b.stderrs)
+
+
+def test_field_needs_two_walks_before_any_point_runs():
+    # Exterior points run no walks, so the check cannot wait for one.
+    for pts in ([(2.0, 0.0)], [(2.0, 0.0), (0.1, 0.1)]):
+        with pytest.raises(ValueError, match="n_walks must be an integer >= 2"):
+            estimate_field(DISK, Constant(1.0), pts, CFG, 3, 1)
+
+
+def test_spans_fold_chunks_in_order_at_any_thread_count(monkeypatch):
+    # Spans of two 40-walk chunks, 25 lanes per kernel call; 257 walks leave
+    # a partial last span and a partial last chunk.
+    monkeypatch.setattr(estimator, "_CHUNK", 40)
+    monkeypatch.setattr(walk, "_LANES", 25)
+    n, x0, data = 257, (0.2, -0.1), Coordinate(1)
+    estimates = [estimate_value(DISK, data, x0, CFG, 18, n, stream_base=11, threads=t)
+                 for t in (1, 2, 3)]
+    samples = [exit_sample(DISK, x0, CFG, 18, n, stream_base=11, threads=t) for t in (1, 2, 3)]
+    assert estimates[0] == estimates[1] == estimates[2]
+    for batch in samples[1:]:
+        for field in ("exit_points", "steps", "truncated", "max_excursion"):
+            assert getattr(batch, field).tobytes() == getattr(samples[0], field).tobytes()
+    # the same walks as one kernel call, with statistics folded per chunk
+    whole = run_walks(DISK, x0, CFG, 18, np.arange(11, 11 + n))
+    assert whole.exit_points.tobytes() == samples[0].exit_points.tobytes()
+    assert whole.max_excursion.tobytes() == samples[0].max_excursion.tobytes()
+    values = data.eval(whole.exit_points)
+
+    def fold(size):
+        count, mean, m2 = estimator._merge_moments(
+            [estimator._chunk_moments(values[lo:lo + size]) for lo in range(0, n, size)])
+        return count, mean, math.sqrt(m2 / (count - 1) / count)
+
+    assert (estimates[0].n, estimates[0].mean, estimates[0].stderr) == fold(40)
+    # at this seed, folding per 80-walk span rounds both mean and stderr differently
+    assert fold(80)[1] != fold(40)[1] and fold(80)[2] != fold(40)[2]
+
+
+_AUX = estimator.AUX_STREAM_BASE
+
+
+@given(st.one_of(st.integers(-2**70, 2**70), st.integers(-70, 70),
+                 st.integers(_AUX - 70, _AUX + 70), st.integers(2**63 - 70, 2**63 + 70)),
+       st.integers(0, 40), st.integers(1, 40))
+@settings(max_examples=300)
+def test_stream_range_stays_below_the_aux_block(base, lo, size):
+    hi = lo + size
+    if 0 <= base + lo and base + hi <= _AUX:
+        idx = estimator._stream_range(base, lo, hi)
+        assert idx.dtype == np.uint64
+        assert idx.tolist() == list(range(base + lo, base + hi))
+    else:
+        with pytest.raises(ValueError, match="AUX_STREAM_BASE"):
+            estimator._stream_range(base, lo, hi)
+
+
+def test_stream_range_edges():
+    assert estimator._stream_range(_AUX - 5, 0, 5)[-1] == _AUX - 1
+    assert estimator._stream_range(np.int64(-3), 3, 4).tolist() == [0]
+    for base, lo, hi in [(_AUX - 5, 0, 6), (-1, 0, 2), (2**63 - 1, 0, 1), (2**64, 0, 1)]:
+        with pytest.raises(ValueError):
+            estimator._stream_range(base, lo, hi)
+    assert _AUX == 2**60
+    assert ballwalk.AUX_STREAM_BASE == analysis.AUX_STREAM_BASE == _AUX
+    # estimators refuse such ranges before running a walk
+    with pytest.raises(ValueError, match="AUX_STREAM_BASE"):
+        estimate_value(DISK, Coordinate(1), (0.0, 0.0), CFG, 5, 10, stream_base=_AUX - 9)
+    with pytest.raises(ValueError, match="AUX_STREAM_BASE"):
+        exit_sample(DISK, (0.0, 0.0), CFG, 5, 10, stream_base=-1)
 
 
 # ---------------------------------------------------------------------------

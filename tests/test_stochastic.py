@@ -11,6 +11,13 @@ from ballwalk import (
     sample_unit_ball,
     sample_unit_sphere,
 )
+from ballwalk.stochastic import (
+    _REDRAW_STRIDE,
+    _draw_values,
+    _to_unit,
+    _unit_ball_from_base,
+    _unit_sphere_from_base,
+)
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 dims = st.integers(min_value=1, max_value=16)
@@ -140,3 +147,95 @@ def test_dimension_validation():
         sample_unit_ball(RngStream(0, 0), 0)
     with pytest.raises(ValueError):
         sample_unit_sphere(RngStream(0, 0), 17)
+
+
+def _reference_directions(base, first, n_dim):
+    """Unit directions built row-major, one (m, 2 * pairs) block per draw."""
+    pairs = (n_dim + 1) // 2
+
+    def block(b, f):
+        d = f[:, None] + np.arange(2 * pairs, dtype=np.uint64)[None, :]
+        z = _draw_values(b[:, None], d)
+        u1 = _to_unit(z[:, 0::2], open_low=True)
+        u2 = _to_unit(z[:, 1::2])
+        r = np.sqrt(-2.0 * np.log(u1))
+        ang = (2.0 * np.pi) * u2
+        g = np.empty((b.shape[0], 2 * pairs))
+        g[:, 0::2] = r * np.cos(ang)
+        g[:, 1::2] = r * np.sin(ang)
+        return g[:, :n_dim]
+
+    g = block(base, first)
+    norm = np.sqrt(np.einsum("ij,ij->i", g, g))
+    bad = norm == 0.0
+    attempt = np.uint64(0)
+    while np.any(bad):
+        attempt = attempt + np.uint64(1)
+        g[bad] = block(base[bad], first[bad] + attempt * _REDRAW_STRIDE)
+        norm[bad] = np.sqrt(np.einsum("ij,ij->i", g[bad], g[bad]))
+        bad = norm == 0.0
+    return g / norm[:, None]
+
+
+def _reference_ball(base, first, n_dim):
+    w = _reference_directions(base, first, n_dim)
+    zr = _draw_values(base, first + np.uint64(draws_per_sphere(n_dim)))
+    return w * (_to_unit(zr) ** (1.0 / n_dim))[:, None]
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64(z):
+    """Inverse of the SplitMix64 finalizer on Python ints."""
+    z = _unxorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = _unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return _unxorshift(z, 30)
+
+
+def _base_with_unit_first_draw(first):
+    """A stream base whose draw ``first`` is 2**64 - 1, so u1 = 1.0 and the
+    first Box-Muller pair has radius 0."""
+    counter = _unmix64(2**64 - 1)
+    return (counter - (first + 1) * 0x9E3779B97F4A7C15) % 2**64
+
+
+@pytest.mark.parametrize("n_dim", range(1, 17))
+def test_samplers_match_the_row_major_formulas(n_dim):
+    rng = np.random.default_rng(n_dim)
+    m = 5000
+    base = rng.integers(0, 2**64, m, dtype=np.uint64, endpoint=False)
+    first = np.concatenate([
+        np.zeros(10, dtype=np.uint64),
+        rng.integers(0, 2**20, m // 2, dtype=np.uint64),
+        rng.integers(0, 2**64, m - m // 2 - 10, dtype=np.uint64, endpoint=False),
+    ])
+    sphere = _unit_sphere_from_base(base, first, n_dim)
+    ball = _unit_ball_from_base(base, first, n_dim)
+    assert sphere.shape == ball.shape == (m, n_dim)
+    assert np.array_equal(sphere, _reference_directions(base, first, n_dim))
+    assert np.array_equal(ball, _reference_ball(base, first, n_dim))
+
+
+@pytest.mark.parametrize("n_dim", [1, 2])
+def test_zero_direction_is_redrawn(n_dim):
+    first = np.array([0, 7, 123456789], dtype=np.uint64)
+    crafted = np.array([_base_with_unit_first_draw(int(f)) for f in first], dtype=np.uint64)
+    assert np.all(_to_unit(_draw_values(crafted, first), open_low=True) == 1.0)
+    # crafted rows among ordinary ones
+    base = np.concatenate([crafted, np.arange(1, 6, dtype=np.uint64) * np.uint64(977)])
+    first = np.concatenate([first, np.arange(5, dtype=np.uint64) * np.uint64(3)])
+    sphere = _unit_sphere_from_base(base, first, n_dim)
+    ball = _unit_ball_from_base(base, first, n_dim)
+    assert np.array_equal(sphere, _reference_directions(base, first, n_dim))
+    assert np.array_equal(ball, _reference_ball(base, first, n_dim))
+    np.testing.assert_allclose(np.linalg.norm(sphere, axis=1), 1.0, rtol=1e-15)
+    # the redraw reads the draws at first + _REDRAW_STRIDE
+    redrawn = _unit_sphere_from_base(base[:3], first[:3] + _REDRAW_STRIDE, n_dim)
+    assert np.array_equal(sphere[:3], redrawn)

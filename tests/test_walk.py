@@ -1,5 +1,7 @@
 """Walk engine invariants: exits land on the boundary, batching never
 changes results, step sizes respect the distance cap."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -379,3 +381,60 @@ def test_exits_are_projected_in_one_call(monkeypatch, case):
         assert not np.any(batch.truncated) and np.all(batch.steps == 0)
     else:
         assert not np.any(batch.truncated) and np.unique(batch.steps).size > 1
+
+
+@given(st.sampled_from(sorted(SHAPES)), st.sampled_from([BALL, SPHERE]), st.integers(1, 30),
+       st.integers(0, 2**40), st.integers(1, 9), st.sampled_from([1, 2, 5, 16, 64]),
+       st.booleans(), st.booleans(), st.booleans(),
+       st.one_of(st.just(10_000_000), st.integers(1, 40)))
+@example(("ball", 2), BALL, 30, 3, 4, 16, False, True, True, 9)
+@example(("difference", 3), SPHERE, 25, 4, 3, 5, True, True, False, 10_000_000)
+@settings(max_examples=40, deadline=None)
+def test_lane_refill_matches_walks_run_alone(key, kind, m, seed, lanes, prefetch,
+                                             shared, centered, shifted, cap):
+    # With fewer lanes than walks, lanes are refilled as walks exit, while
+    # block prefetch fills and drops blocks in between.
+    domain = SHAPES[key]
+    cfg = WalkConfig(0.2, kind=kind, max_steps=cap)
+    idx = np.arange(m) * 5 + seed % 997
+    offsets = (np.arange(m) * 31 + 2) if shifted else np.zeros(m, dtype=np.int64)
+    starts = _starts_inside(domain, m, seed)
+    x0 = starts[0] if shared else starts
+    center = domain.bounding_box()[0] if centered else None
+    with mock.patch.object(walk, "_LANES", lanes), \
+            mock.patch.object(walk, "_PREFETCH_ROWS", prefetch):
+        batch = run_walks(domain, x0, cfg, seed, idx, draw_offsets=offsets,
+                          excursion_center=center)
+    for row in range(m):
+        alone = run_walks(domain, x0 if shared else starts[row:row + 1], cfg, seed,
+                          [idx[row]], draw_offsets=[offsets[row]], excursion_center=center)
+        assert np.array_equal(batch.exit_points[row], alone.exit_points[0])
+        assert batch.steps[row] == alone.steps[0]
+        assert batch.truncated[row] == alone.truncated[0]
+        assert batch.max_excursion[row] == alone.max_excursion[0]
+
+
+def test_late_walk_is_truncated_at_its_own_cap(monkeypatch):
+    # One lane: walk 0 runs to the cap, then walk 1 takes the lane at
+    # iteration cap + 1 and must still get cap steps of its own.
+    cap = 7
+    admissions = []
+    admit = walk._StepDraws.admit
+
+    def spy(self, lanes, walks, t):
+        admissions.append((walks.tolist(), t))
+        return admit(self, lanes, walks, t)
+
+    monkeypatch.setattr(walk, "_LANES", 1)
+    monkeypatch.setattr(walk._StepDraws, "admit", spy)
+    cfg = WalkConfig(0.01, max_steps=cap)
+    batch, traces = run_walks(DISK, (0.0, 0.0), cfg, 2, [4, 9, 1], record_trace=True)
+    assert admissions == [([1], cap + 1), ([2], 2 * (cap + 1))]
+    assert np.all(batch.truncated)
+    assert np.all(batch.steps == cap)
+    assert [tr.shape[0] for tr in traces] == [cap + 1] * 3
+    monkeypatch.undo()
+    for row, k in enumerate([4, 9, 1]):
+        alone, alone_trace = run_walks(DISK, (0.0, 0.0), cfg, 2, [k], record_trace=True)
+        assert np.array_equal(alone_trace[0], traces[row])
+        assert np.array_equal(alone.exit_points[0], batch.exit_points[row])
