@@ -6,9 +6,10 @@ averaging expansion, exit-measure geometry, boundary regularity probes,
 escape probabilities against the exterior-cone bound, and the martingale
 property of a single step.
 
-Every diagnostic that runs walks to the boundary goes through exit_sample
-or estimate_field, so walks fan out over threads in one place and walk k
-of a batch uses stream stream_base + k.  Walk streams occupy low indices
+Every diagnostic that runs walks goes through exit_sample or
+estimate_field, so walks fan out over threads in one place and walk k of a
+batch uses stream stream_base + k; the exit-measure walks are exit_sample
+walks with a ring stop.  Walk streams occupy low indices
 (documented per routine); auxiliary sampling (probe locations, averaging
 centers, single-step draws) lives in the block starting at AUX_STREAM_BASE
 so it can never collide with walk streams.
@@ -34,7 +35,7 @@ from .estimator import (
 from .geometry import Domain, as_point
 from .oracle import radial_profile
 from .stochastic import RngStream, sample_unit_ball
-from .walk import WalkConfig, run_stopped_walks
+from .walk import WalkConfig
 
 _Array = NDArray[np.float64]
 
@@ -210,16 +211,31 @@ def exit_measure_stats(
     n: int,
     master_seed: int,
 ) -> ExitMeasureStats:
-    """Sample n stopped walks and summarize where they leave the r-ball."""
+    """Sample n stopped walks and summarize where they leave the r-ball.
+
+    Walk k uses stream k and stops on its first departure from B(x0, r).
+    The concentric ball of radius 2r must stay inside the domain (certified
+    through the distance oracle, which never overestimates), so no walk can
+    reach the boundary first; the stop tolerance is set to epsilon / 2, so
+    the diameter default never refuses a large domain.  epsilon must lie in
+    (0, 1), as for every walk, and a walk that hits the step cap raises.
+    """
     x0 = _domain_point(domain, x0)
     if int(n) != n or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     n = int(n)
+    r = float(r)
     if not 0.0 < epsilon < r:
         raise ValueError(f"need 0 < epsilon < r, got epsilon={epsilon}, r={r}")
-    stop_points, _ = run_stopped_walks(domain, x0, epsilon, r, master_seed,
-                                       np.arange(n, dtype=np.int64))
-    disp = stop_points - x0
+    if domain.distance_to_boundary(x0) < 2.0 * r:
+        raise ValueError("the ball of radius 2r around x0 must stay inside the domain")
+    config = WalkConfig(epsilon, stop_tolerance=0.5 * epsilon)
+    batch = exit_sample(domain, x0, config, master_seed, n, stop_radius=r)
+    truncated = int(batch.truncated.sum())
+    if truncated:
+        raise RuntimeError(
+            f"{truncated} stopped walks exhausted the step cap {config.max_steps}")
+    disp = batch.exit_points - x0
     dist = np.linalg.norm(disp, axis=1)
     overshoot = dist - r
     if np.any(overshoot < 0.0) or np.any(overshoot >= epsilon):

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -67,50 +68,25 @@ class RunConfig:
 _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _float_tuple(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        return tuple(float(p) for p in parts)
-    return tuple(float(v) for v in value)
+def _tuple_of(kind):
+    """Coerce a comma string or a sequence to a tuple of ``kind``."""
+    def coerce(value) -> tuple:
+        if isinstance(value, str):
+            value = [p for p in value.split(",") if p.strip()]
+        return tuple(kind(v) for v in value)
+    return coerce
 
 
-def _int_tuple(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        return tuple(int(p) for p in parts)
-    return tuple(int(v) for v in value)
+def _coercer(hint):
+    """The coercer for a RunConfig field type: None is stripped from a union,
+    tuple[T, ...] reads a comma string or a list, any other type is its own."""
+    if typing.get_origin(hint) is tuple:
+        return _tuple_of(typing.get_args(hint)[0])
+    members = [a for a in typing.get_args(hint) if a is not type(None)]
+    return _coercer(members[0]) if members else hint
 
 
-_COERCERS = {
-    "command": str,
-    "domain": str,
-    "data": str,
-    "eps": float,
-    "stop_tol": float,
-    "max_steps": int,
-    "walks": int,
-    "seed": int,
-    "threads": int,
-    "out": str,
-    "format": str,
-    "svg": bool,
-    "trace": str,
-    "x0": _float_tuple,
-    "y0": _float_tuple,
-    "grid": _int_tuple,
-    "delta": float,
-    "delta_hat": float,
-    "probes": int,
-    "n_outer": int,
-    "n_inner": int,
-    "n_samples": int,
-    "distances": _float_tuple,
-    "u": str,
-    "dim": int,
-    "R": float,
-    "threshold": float,
-    "sigmas": float,
-}
+_COERCERS = {name: _coercer(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def config_from_dict(raw: dict) -> RunConfig:

@@ -221,19 +221,26 @@ class FieldResult:
                         int(self.counts[j]), int(self.truncated[j]))
 
 
-def _stream_range(stream_base: int, lo: int, hi: int) -> NDArray[np.uint64]:
-    """Walk streams stream_base + [lo, hi) of one kernel call, as uint64.
+def _check_streams(stream_base: int, n: int) -> int:
+    """Check that walk streams stream_base + [0, n) lie in
+    [0, AUX_STREAM_BASE) and return stream_base as an int.
 
-    Raises ValueError unless every index lies in [0, AUX_STREAM_BASE): walk
-    streams are never negative and never reach the auxiliary block, which
-    also keeps them inside int64.
+    Walk streams are never negative and never reach the auxiliary block,
+    which also keeps them inside int64.  Entry points check their whole
+    range with this before any walk runs.
     """
-    first = operator.index(stream_base) + lo
-    stop = first + (hi - lo)
-    if first < 0 or stop > AUX_STREAM_BASE:
+    first = operator.index(stream_base)
+    if first < 0 or first + n > AUX_STREAM_BASE:
         raise ValueError(
-            f"walk streams [{first}, {stop}) leave [0, AUX_STREAM_BASE = 2**60)")
-    return np.arange(first, stop, dtype=np.uint64)
+            f"walk streams [{first}, {first + n}) leave [0, AUX_STREAM_BASE = 2**60)")
+    return first
+
+
+def _stream_range(stream_base: int, lo: int, hi: int) -> NDArray[np.uint64]:
+    """Walk streams stream_base + [lo, hi) of one kernel call, as uint64;
+    raises ValueError as _check_streams does."""
+    first = _check_streams(operator.index(stream_base) + lo, hi - lo)
+    return np.arange(first, first + (hi - lo), dtype=np.uint64)
 
 
 def _map_chunks(worker, n: int, threads: int) -> list:
@@ -291,15 +298,18 @@ def exit_sample(
     *,
     stream_base: int = 0,
     excursion_center=None,
+    stop_radius: float | None = None,
     threads: int = 1,
 ) -> WalkBatch:
     """Simulate n_walks exits; walk k uses stream stream_base + k.
 
     ``x0`` is one start (n,) shared by every walk or one start per walk
-    (n_walks, n); ``excursion_center`` is passed to run_walks.
+    (n_walks, n); ``excursion_center`` and ``stop_radius`` are passed to
+    run_walks.
     """
     n_walks = _check_n_walks(n_walks)
     threads = _check_threads(threads)
+    _check_streams(stream_base, n_walks)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 2 and x0.shape[0] != n_walks:
         raise ValueError(f"got {x0.shape[0]} start points for {n_walks} walks")
@@ -308,7 +318,7 @@ def exit_sample(
         starts = x0[lo:hi] if x0.ndim == 2 else x0
         return run_walks(domain, starts, config, master_seed,
                          _stream_range(stream_base, lo, hi),
-                         excursion_center=excursion_center)
+                         excursion_center=excursion_center, stop_radius=stop_radius)
 
     parts = _map_chunks(worker, n_walks, threads)
     return WalkBatch(
@@ -333,6 +343,7 @@ def estimate_value(
     """Estimate the solution at x0 as the mean of F over simulated exits."""
     n_walks = _check_n_walks(n_walks, minimum=2)
     threads = _check_threads(threads)
+    _check_streams(stream_base, n_walks)
 
     def worker(lo: int, hi: int) -> list[tuple[tuple[int, float, float], int]]:
         batch = run_walks(domain, x0, config, master_seed, _stream_range(stream_base, lo, hi))
@@ -375,8 +386,9 @@ def estimate_field(
         raise ValueError("points must be finite")
     n_walks = _check_n_walks(n_walks, minimum=2)
     threads = _check_threads(threads)
-
     m = pts.shape[0]
+    _check_streams(stream_base, m * n_walks)
+
     inside = domain.contains(pts)
     means = np.full(m, np.nan)
     stderrs = np.full(m, np.nan)

@@ -5,6 +5,9 @@ in the unit ball; the sphere walk moves by min(epsilon, dist(x) / 2) * w with
 w uniform on the unit sphere.  A walk terminates when the boundary distance
 drops below the stop tolerance and reports the nearest-boundary projection
 as its exit point; a step cap marks the outcome truncated instead of raising.
+A batch may also stop each walk on its first departure from a ball of given
+radius around its start (the ring stop of the exit-measure diagnostic); it
+then reports every walk's final position unprojected.
 
 The batch runner advances many walks in lockstep with vectorized numpy ops,
 from one shared start or from one start per walk.  Each walk consumes draws
@@ -168,6 +171,7 @@ def run_walks(
     *,
     draw_offsets=0,
     excursion_center=None,
+    stop_radius: float | None = None,
     record_trace: bool = False,
 ) -> WalkBatch | tuple[WalkBatch, list[_Array]]:
     """Advance one walk per stream index until exit or cap; see WalkBatch.
@@ -176,6 +180,10 @@ def run_walks(
     (m, n) in stream-index order.  max_excursion is measured from each walk's
     own start unless ``excursion_center`` names another reference point (the
     escape-probability estimator measures spread around a boundary point).
+    With ``stop_radius`` a walk also stops before the first step at which
+    its max_excursion is at least stop_radius (its first departure from the
+    ball of that radius around the reference), and every walk's final
+    position is returned unprojected in exit_points.
     With ``record_trace`` the full position history is returned as one
     (steps+1, n) array per walk; use small batches.
 
@@ -232,6 +240,8 @@ def run_walks(
         dist = -domain._sd(cur)
         np.maximum(dist, 0.0, out=dist)
         done = dist < tol
+        if stop_radius is not None:
+            done |= exc >= stop_radius
         if t >= max_steps:
             capped = ~done & (t - steps[alive] >= max_steps)
             truncated[alive[capped]] = True
@@ -283,66 +293,11 @@ def run_walks(
     # Exits are projected after the loop, one call per _LANES rows, in place;
     # _project works row by row, so how many walks share a call never changes
     # an exit.
-    for lo in range(0, m, lanes):
-        final[lo:lo + lanes] = domain._project(final[lo:lo + lanes])
+    if stop_radius is None:
+        for lo in range(0, m, lanes):
+            final[lo:lo + lanes] = domain._project(final[lo:lo + lanes])
     batch = WalkBatch(final, steps, truncated, excursion)
     if record_trace:
         return batch, [np.asarray(tr) for tr in traces]
     return batch
 
-
-def run_stopped_walks(
-    domain: Domain,
-    x0,
-    epsilon: float,
-    r: float,
-    master_seed: int,
-    stream_indices,
-    *,
-    draw_offsets=0,
-    max_steps: int = 10_000_000,
-) -> tuple[_Array, NDArray[np.int64]]:
-    """Ball walks from x0 stopped on first departure from the ball of radius r.
-
-    Requires the concentric ball of radius 2r around x0 to stay inside the
-    domain (certified through the distance oracle, which never
-    overestimates).  ``draw_offsets`` shifts each walk's draws along its
-    stream, as in run_walks.  Returns stop points and stop steps; raises if
-    any walk exhausts the step cap.
-    """
-    x0p, _ = _prep(x0, domain.dim)
-    x0v = x0p[0]
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r}")
-    if not domain.contains(x0v):
-        raise ValueError("x0 must lie inside the open domain")
-    if domain.distance_to_boundary(x0v) < 2.0 * r:
-        raise ValueError("the ball of radius 2r around x0 must stay inside the domain")
-    idx = _as_u64(stream_indices)
-    m = idx.shape[0]
-    n = domain.dim
-    draws = _StepDraws(n, False, master_seed, idx, draw_offsets, max_steps, m)
-
-    cur = np.broadcast_to(x0v, (m, n)).copy()
-    stop_points = np.empty((m, n))
-    stop_steps = np.zeros(m, dtype=np.int64)
-    alive = np.arange(m)
-    t = 0
-    while alive.size:
-        if t >= max_steps:
-            raise RuntimeError(f"{alive.size} stopped walks exhausted the step cap {max_steps}")
-        dist = -domain._sd(cur)
-        np.maximum(dist, 0.0, out=dist)
-        cur = cur + np.minimum(epsilon, dist)[:, None] * draws.take(t)
-        t += 1
-        out = np.linalg.norm(cur - x0v, axis=1) >= r
-        if np.any(out):
-            rows = alive[out]
-            stop_points[rows] = cur[out]
-            stop_steps[rows] = t
-            keep = ~out
-            alive = alive[keep]
-            cur = cur[keep]
-            draws.drop(keep)
-    return stop_points, stop_steps

@@ -4,11 +4,13 @@ Statistical assertions use a 4-standard-error budget throughout; anything
 tighter is a property that holds exactly by construction (shared streams,
 antithetic pairing, trivial-case short circuits).
 """
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from ballwalk import analysis
 from ballwalk import (
     AUX_STREAM_BASE,
     Ball,
@@ -141,13 +143,28 @@ def test_exit_measure_statistics():
     tol = 4.0 * math.sqrt(4.0 / 45.0 / n)
     assert np.all(np.abs(diag - 1.0 / 3.0) < tol)
     assert np.allclose(stats.direction_covariance, stats.direction_covariance.T)
+    # The stop tolerance is epsilon / 2, not 1e-4 * diameter (0.2 here, above
+    # epsilon), and no walk comes near either boundary: the same stops.
+    big = exit_measure_stats(Ball((0.0, 0.0, 0.0), 1e3), (0.0, 0.0, 0.0), 0.3, 0.03, n, 11)
+    assert big.n == stats.n and big.radial_overshoot == stats.radial_overshoot
+    assert big.mean_direction.tobytes() == stats.mean_direction.tobytes()
+    assert big.direction_covariance.tobytes() == stats.direction_covariance.tobytes()
 
 
-def test_exit_measure_validation():
-    with pytest.raises(ValueError):
+def test_exit_measure_validation(monkeypatch):
+    with pytest.raises(ValueError, match="0 < epsilon < r"):
         exit_measure_stats(BALL3, (0.0, 0.0, 0.0), 0.3, 0.3, 100, 0)
-    with pytest.raises(ValueError):
-        exit_measure_stats(BALL3, (0.9, 0.0, 0.0), 0.3, 0.03, 100, 0)
+    # the ball of radius 2r around x0 must stay inside the domain
+    for domain, x0, eps in [(BALL3, (0.9, 0.0, 0.0), 0.03), (DISK, (0.6, 0.0), 0.05)]:
+        with pytest.raises(ValueError, match="radius 2r"):
+            exit_measure_stats(domain, x0, 0.3, eps, 100, 0)
+    # epsilon >= 1 is refused as for every walk, even where r and the room allow it
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        exit_measure_stats(Ball((0.0, 0.0, 0.0), 10.0), (0.0, 0.0, 0.0), 3.0, 1.0, 100, 0)
+    # a walk that hits the step cap raises instead of being left out
+    monkeypatch.setattr(analysis, "WalkConfig", functools.partial(WalkConfig, max_steps=2))
+    with pytest.raises(RuntimeError, match="step cap 2"):
+        exit_measure_stats(DISK, (0.0, 0.0), 0.3, 0.05, 4, 0)
 
 
 # ---------------------------------------------------------------------------

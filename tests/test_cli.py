@@ -1,9 +1,10 @@
 """Command-line behavior: exit codes, config round trips, deterministic reports."""
+import dataclasses
 import json
 
 import pytest
 
-from ballwalk.cli import config_from_dict, emit_config, main, parse_config
+from ballwalk.cli import RunConfig, config_from_dict, emit_config, main, parse_config
 
 DISK_ARGS = ["--domain", "ball(0,0;1)", "--data", "coordinate(1)", "--x0", "0.3,0.4"]
 
@@ -70,6 +71,27 @@ def test_config_round_trip(tmp_path):
     path.write_text(emit_config(cfg))
     again = parse_config(["solve", "--config", str(path)])
     assert again == cfg
+
+
+def test_config_from_dict_coerces_every_field():
+    # Every RunConfig field set, scalars given as strings and tuples given as
+    # comma strings or as JSON lists.
+    expected = RunConfig(
+        command="field", domain="ball(0,0;1)", data="coordinate(1)", eps=0.1,
+        stop_tol=1e-5, max_steps=900, walks=50, seed=3, threads=2, out="f.csv",
+        format="csv", svg=True, trace="t.csv", x0=(0.3, 0.4), y0=(1.0, 0.0), grid=(4, 5),
+        delta=0.3, delta_hat=0.02, probes=2, n_outer=8, n_inner=100, n_samples=1000,
+        distances=(0.1, 0.01), u="squared_norm", dim=3, R=1.5, threshold=0.9, sigmas=3.5)
+    scalars = {f.name: str(getattr(expected, f.name)) for f in dataclasses.fields(RunConfig)
+               if not isinstance(getattr(expected, f.name), (bool, tuple))}
+    tuples = {"x0": "0.3,0.4", "y0": "1,0", "grid": "4,5", "distances": "0.1, 0.01,"}
+    lists = {"x0": [0.3, 0.4], "y0": [1, 0], "grid": [4, 5], "distances": [0.1, 0.01]}
+    for given in (tuples, lists):
+        raw = {**scalars, "svg": True, **given}
+        assert set(raw) == {f.name for f in dataclasses.fields(RunConfig)}
+        config = config_from_dict(raw)
+        assert config == expected
+        assert type(config.grid[0]) is int and type(config.y0[0]) is float
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -247,7 +247,7 @@ def test_stream_range_stays_below_the_aux_block(base, lo, size):
             estimator._stream_range(base, lo, hi)
 
 
-def test_stream_range_edges():
+def test_stream_range_edges(monkeypatch):
     assert estimator._stream_range(_AUX - 5, 0, 5)[-1] == _AUX - 1
     assert estimator._stream_range(np.int64(-3), 3, 4).tolist() == [0]
     for base, lo, hi in [(_AUX - 5, 0, 6), (-1, 0, 2), (2**63 - 1, 0, 1), (2**64, 0, 1)]:
@@ -260,6 +260,19 @@ def test_stream_range_edges():
         estimate_value(DISK, Coordinate(1), (0.0, 0.0), CFG, 5, 10, stream_base=_AUX - 9)
     with pytest.raises(ValueError, match="AUX_STREAM_BASE"):
         exit_sample(DISK, (0.0, 0.0), CFG, 5, 10, stream_base=-1)
+    # the whole range is checked before the first span or point runs
+    calls = []
+    monkeypatch.setattr(estimator, "run_walks", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="AUX_STREAM_BASE"):
+        estimate_value(DISK, Coordinate(1), (0.0, 0.0), CFG, 5, 65536,
+                       stream_base=_AUX - 20000, threads=2)
+    with pytest.raises(ValueError, match="AUX_STREAM_BASE"):
+        exit_sample(DISK, (0.0, 0.0), CFG, 5, 65536, stream_base=_AUX - 20000, threads=2)
+    # point 2 of 3 holds streams _AUX - 30 + [40, 60)
+    with pytest.raises(ValueError, match="AUX_STREAM_BASE"):
+        estimate_field(DISK, Coordinate(1), [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)], CFG, 5,
+                       20, stream_base=_AUX - 30)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

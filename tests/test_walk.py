@@ -22,7 +22,7 @@ from ballwalk import (
     WalkConfig,
     draws_per_ball,
     draws_per_sphere,
-    run_stopped_walks,
+    exit_measure_stats,
     run_walks,
     sample_unit_ball,
     sample_unit_sphere,
@@ -183,34 +183,41 @@ def test_interior_start_required():
 
 
 def test_stopped_walks_ring():
+    # A ring stop ends each walk on its first step out of B(x0, r).  Its
+    # final position is returned unprojected, in [r, r + eps) from x0, and
+    # is where its excursion peaks.
     x0 = (0.0, 0.0)
     r, eps = 0.3, 0.05
-    pts, steps = run_stopped_walks(DISK, x0, eps, r, 17, range(64))
-    d = np.linalg.norm(pts, axis=1)
+    batch = run_walks(DISK, x0, WalkConfig(eps), 17, range(64), stop_radius=r)
+    d = np.linalg.norm(batch.exit_points, axis=1)
     assert np.all(d >= r)
     assert np.all(d < r + eps)
-    assert np.all(steps >= 1)
-    single_pts, single_steps = run_stopped_walks(DISK, x0, eps, r, 17, [3])
-    assert np.array_equal(single_pts[0], pts[3])
-    assert single_steps[0] == steps[3]
+    assert np.array_equal(d, batch.max_excursion)
+    assert np.all(batch.steps >= 1) and not np.any(batch.truncated)
+    single = run_walks(DISK, x0, WalkConfig(eps), 17, [3], stop_radius=r)
+    assert np.array_equal(single.exit_points[0], batch.exit_points[3])
+    assert single.steps[0] == batch.steps[3]
 
 
 def test_stopped_walks_need_room():
     # distance to the boundary must be at least 2r so the ring is interior
-    with pytest.raises(ValueError):
-        run_stopped_walks(DISK, (0.6, 0.0), 0.05, 0.3, 0, range(4))
-    with pytest.raises(RuntimeError):
-        run_stopped_walks(DISK, (0.0, 0.0), 0.05, 0.3, 0, range(4), max_steps=2)
+    with pytest.raises(ValueError, match="radius 2r"):
+        exit_measure_stats(DISK, (0.6, 0.0), 0.3, 0.05, 4, 0)
+    # a ring-stopped walk that hits the cap is marked truncated, not stopped
+    batch = run_walks(DISK, (0.0, 0.0), WalkConfig(0.05, max_steps=2), 0, range(4),
+                      stop_radius=0.3)
+    assert np.all(batch.truncated) and np.all(batch.steps == 2)
+    assert np.all(batch.max_excursion < 0.3)
 
 
 def test_stopped_walk_honours_the_stream_offset():
-    x0, eps, r = (0.0, 0.0), 0.05, 0.3
-    plain_pts, _ = run_stopped_walks(DISK, x0, eps, r, 17, [3])
-    moved_pts, moved_steps = run_stopped_walks(DISK, x0, eps, r, 17, [3], draw_offsets=50)
-    assert not np.array_equal(moved_pts[0], plain_pts[0])
-    pts, steps = run_stopped_walks(DISK, x0, eps, r, 17, range(8), draw_offsets=50)
-    assert np.array_equal(moved_pts[0], pts[3])
-    assert moved_steps[0] == steps[3]
+    x0, cfg, r = (0.0, 0.0), WalkConfig(0.05), 0.3
+    plain = run_walks(DISK, x0, cfg, 17, [3], stop_radius=r)
+    moved = run_walks(DISK, x0, cfg, 17, [3], draw_offsets=50, stop_radius=r)
+    assert not np.array_equal(moved.exit_points[0], plain.exit_points[0])
+    batch = run_walks(DISK, x0, cfg, 17, range(8), draw_offsets=50, stop_radius=r)
+    assert np.array_equal(moved.exit_points[0], batch.exit_points[3])
+    assert moved.steps[0] == batch.steps[3]
 
 
 def test_walks_work_in_a_box():
@@ -350,10 +357,11 @@ def test_shared_start_excursion_is_the_start_distance():
     assert np.all(batch.max_excursion == float(np.linalg.norm(x0 - center)))
 
 
-@pytest.mark.parametrize("case", ["exits", "stopped_at_start", "capped"])
+@pytest.mark.parametrize("case", ["exits", "stopped_at_start", "capped", "ringed"])
 def test_exits_are_projected_in_one_call(monkeypatch, case):
     # One _project call over the final positions of all m walks, whether
-    # walks exit over many iterations, all stop at t = 0, or hit the cap.
+    # walks exit over many iterations, all stop at t = 0, or hit the cap;
+    # none when a ring stop returns the final positions themselves.
     m = 12
     cfg = WalkConfig(0.2, max_steps=4 if case == "capped" else 10_000_000)
     if case == "stopped_at_start":
@@ -371,7 +379,14 @@ def test_exits_are_projected_in_one_call(monkeypatch, case):
         return project(pts)
 
     monkeypatch.setattr(domain, "_project", spy)
-    batch, traces = run_walks(domain, starts, cfg, 3, range(m), record_trace=True)
+    stop_radius = 0.1 if case == "ringed" else None
+    batch, traces = run_walks(domain, starts, cfg, 3, range(m), stop_radius=stop_radius,
+                              record_trace=True)
+    if case == "ringed":
+        assert calls == []
+        assert np.array_equal(batch.exit_points, np.array([tr[-1] for tr in traces]))
+        assert np.all(batch.max_excursion >= stop_radius) and np.all(batch.steps >= 1)
+        return
     assert len(calls) == 1
     assert np.array_equal(calls[0], np.array([tr[-1] for tr in traces]))
     assert np.array_equal(batch.exit_points, project(calls[0]))
@@ -386,14 +401,18 @@ def test_exits_are_projected_in_one_call(monkeypatch, case):
 @given(st.sampled_from(sorted(SHAPES)), st.sampled_from([BALL, SPHERE]), st.integers(1, 30),
        st.integers(0, 2**40), st.integers(1, 9), st.sampled_from([1, 2, 5, 16, 64]),
        st.booleans(), st.booleans(), st.booleans(),
-       st.one_of(st.just(10_000_000), st.integers(1, 40)))
-@example(("ball", 2), BALL, 30, 3, 4, 16, False, True, True, 9)
-@example(("difference", 3), SPHERE, 25, 4, 3, 5, True, True, False, 10_000_000)
+       st.one_of(st.just(10_000_000), st.integers(1, 40)),
+       st.one_of(st.none(), st.floats(0.05, 0.8)))
+@example(("ball", 2), BALL, 30, 3, 4, 16, False, True, True, 9, None)
+@example(("difference", 3), SPHERE, 25, 4, 3, 5, True, True, False, 10_000_000, None)
+@example(("box", 2), BALL, 30, 5, 4, 16, True, False, True, 10_000_000, 0.3)
+@example(("annulus", 3), SPHERE, 25, 6, 3, 5, False, True, False, 12, 0.5)
 @settings(max_examples=40, deadline=None)
 def test_lane_refill_matches_walks_run_alone(key, kind, m, seed, lanes, prefetch,
-                                             shared, centered, shifted, cap):
+                                             shared, centered, shifted, cap, stop_radius):
     # With fewer lanes than walks, lanes are refilled as walks exit, while
-    # block prefetch fills and drops blocks in between.
+    # block prefetch fills and drops blocks in between; a ring stop may end
+    # walks before the boundary does.
     domain = SHAPES[key]
     cfg = WalkConfig(0.2, kind=kind, max_steps=cap)
     idx = np.arange(m) * 5 + seed % 997
@@ -404,10 +423,11 @@ def test_lane_refill_matches_walks_run_alone(key, kind, m, seed, lanes, prefetch
     with mock.patch.object(walk, "_LANES", lanes), \
             mock.patch.object(walk, "_PREFETCH_ROWS", prefetch):
         batch = run_walks(domain, x0, cfg, seed, idx, draw_offsets=offsets,
-                          excursion_center=center)
+                          excursion_center=center, stop_radius=stop_radius)
     for row in range(m):
         alone = run_walks(domain, x0 if shared else starts[row:row + 1], cfg, seed,
-                          [idx[row]], draw_offsets=[offsets[row]], excursion_center=center)
+                          [idx[row]], draw_offsets=[offsets[row]], excursion_center=center,
+                          stop_radius=stop_radius)
         assert np.array_equal(batch.exit_points[row], alone.exit_points[0])
         assert batch.steps[row] == alone.steps[0]
         assert batch.truncated[row] == alone.truncated[0]
