@@ -293,6 +293,7 @@ def estimate_regularity(
     if int(probe_count) != probe_count or probe_count < 1:
         raise ValueError(f"probe_count must be a positive integer, got {probe_count!r}")
     probe_count = int(probe_count)
+    n_walks = _check_n_walks(n_walks)
     scale = _boundary_scale(domain)
     if abs(domain.signed_distance(y0)) > 1e-9 * scale:
         raise ValueError("y0 must lie on the domain boundary")
@@ -316,7 +317,6 @@ def estimate_regularity(
                        for x0 in starts)
         return RegularityReport(y0=y0, delta=delta, delta_hat=delta_hat,
                                 epsilon=float(epsilon), probes=probes)
-    n_walks = _check_n_walks(n_walks)
     batch = exit_sample(domain, np.repeat(probe_points, n_walks, axis=0), config,
                         master_seed, len(starts) * n_walks, threads=threads)
     hits = np.linalg.norm(batch.exit_points - y0, axis=1) <= delta
@@ -359,6 +359,7 @@ def estimate_escape_probability(
     delta = float(delta)
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    n_walks = _check_n_walks(n_walks)
     start_distance = float(np.linalg.norm(x0 - y0))
     if start_distance >= delta:
         return 1.0, 0.0

@@ -68,22 +68,44 @@ class RunConfig:
 _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
 
 
+def _int(value) -> int:
+    """An int, refusing a value that int() would change (2.7, not 2)."""
+    out = int(value)
+    if not isinstance(value, str) and out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
+def _bool(value) -> bool:
+    """A JSON boolean, or the string true or false."""
+    if isinstance(value, bool):
+        return value
+    if value in ("true", "false"):
+        return value == "true"
+    raise ValueError(f"{value!r} is not true or false")
+
+
 def _tuple_of(kind):
-    """Coerce a comma string or a sequence to a tuple of ``kind``."""
+    """Coerce a comma string or a list to a tuple of ``kind``."""
     def coerce(value) -> tuple:
         if isinstance(value, str):
             value = [p for p in value.split(",") if p.strip()]
+        elif not isinstance(value, (list, tuple)):
+            raise ValueError(f"{value!r} is not a list or a comma string")
         return tuple(kind(v) for v in value)
     return coerce
 
 
 def _coercer(hint):
     """The coercer for a RunConfig field type: None is stripped from a union,
-    tuple[T, ...] reads a comma string or a list, any other type is its own."""
+    tuple[T, ...] reads a comma string or a list, int and bool are exact, and
+    any other type is its own."""
     if typing.get_origin(hint) is tuple:
-        return _tuple_of(typing.get_args(hint)[0])
+        return _tuple_of(_coercer(typing.get_args(hint)[0]))
     members = [a for a in typing.get_args(hint) if a is not type(None)]
-    return _coercer(members[0]) if members else hint
+    if members:
+        return _coercer(members[0])
+    return {int: _int, bool: _bool}.get(hint, hint)
 
 
 _COERCERS = {name: _coercer(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
@@ -107,7 +129,10 @@ def _resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
     for key, value in merged.items():
         if value is None:
             continue
-        values[key] = _COERCERS[key](value)
+        try:
+            values[key] = _COERCERS[key](value)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ValueError(f"{key}={value!r}: {e}") from None
     if "seed" not in values:
         env = os.environ.get("BALLWALK_SEED")
         values["seed"] = int(env) if env else 0
@@ -186,12 +211,11 @@ def parse_config(argv) -> RunConfig:
     file_values: dict = {}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            file_values = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(
-                f"config file {config_path}: line {e.lineno}, column {e.colno}: {e.msg}")
+            try:
+                file_values = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ValueError(
+                    f"config file {config_path}: line {e.lineno}, column {e.colno}: {e.msg}")
         if not isinstance(file_values, dict):
             raise ValueError(f"config file {config_path} must hold a flat JSON object")
     return _resolve_config(file_values, flag_values)
@@ -204,21 +228,14 @@ def _require(config: RunConfig, *keys: str):
 
 
 def _semantic_config(config: RunConfig) -> dict:
-    out = {}
-    for k, v in dataclasses.asdict(config).items():
-        if k in _EXECUTION_KEYS or v is None:
-            continue
-        out[k] = v
-    return out
+    return {k: v for k, v in dataclasses.asdict(config).items()
+            if k not in _EXECUTION_KEYS and v is not None}
 
 
 def _comment_config(config: RunConfig) -> dict:
-    out = {}
-    for k, v in _semantic_config(config).items():
-        if isinstance(v, tuple):
-            v = ",".join(reporting.format_value(x) for x in v)
-        out[k] = v
-    return out
+    """The semantic config as CSV comments, tuples joined by commas."""
+    return {k: ",".join(map(reporting.format_value, v)) if isinstance(v, tuple) else v
+            for k, v in _semantic_config(config).items()}
 
 
 def _walk_config(config: RunConfig) -> WalkConfig:
@@ -232,26 +249,28 @@ def _domain(config: RunConfig) -> Domain:
     return parse_domain(config.domain)
 
 
-def _deliver(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class _Report(typing.NamedTuple):
+    """A command's outcome: JSON result, CSV header and rows, and checks."""
+
+    result: object
+    header: list[str]
+    rows: typing.Iterable[list]
+    checks: tuple[dict, ...] = ()
 
 
-def _json_payload(config: RunConfig, result: dict, checks: list[dict]) -> str:
+def _check(name: str, statistic: float, stderr: float, threshold: float, passed) -> dict:
+    return {"name": name, "statistic": statistic, "stderr": stderr,
+            "threshold": threshold, "passed": bool(passed)}
+
+
+def _json_payload(config: RunConfig, result: object, checks: tuple[dict, ...]) -> str:
     payload = {"config": _semantic_config(config), "result": result}
     if checks:
         payload["checks"] = checks
     return reporting.json_report(payload)
 
 
-def _passed(checks: list[dict]) -> int:
-    return 0 if all(c["passed"] for c in checks) else 2
-
-
-def _run_solve(config: RunConfig) -> int:
+def _run_solve(config: RunConfig) -> _Report:
     _require(config, "data", "x0")
     domain = _domain(config)
     wc = _walk_config(config)
@@ -265,15 +284,8 @@ def _run_solve(config: RunConfig) -> int:
             fh.write(reporting.trace_csv(traces[0]))
     result = {"mean": est.mean, "stderr": est.stderr, "n": est.n,
               "ci95": list(est.ci95), "truncated_count": est.truncated_count}
-    if config.format == "csv":
-        text = reporting.csv_table(
-            ["mean", "stderr", "n", "truncated"],
-            [[est.mean, est.stderr, est.n, est.truncated_count]],
-            comments=_comment_config(config))
-    else:
-        text = _json_payload(config, result, [])
-    _deliver(config, text)
-    return 0
+    return _Report(result, ["mean", "stderr", "n", "truncated"],
+                   [[est.mean, est.stderr, est.n, est.truncated_count]])
 
 
 def _grid_points(domain: Domain, shape: tuple[int, ...]) -> np.ndarray:
@@ -288,7 +300,7 @@ def _grid_points(domain: Domain, shape: tuple[int, ...]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _run_field(config: RunConfig) -> int:
+def _run_field(config: RunConfig) -> _Report:
     _require(config, "data", "grid")
     domain = _domain(config)
     wc = _walk_config(config)
@@ -306,108 +318,86 @@ def _run_field(config: RunConfig) -> int:
         svg_path = os.path.splitext(config.out)[0] + ".svg"
         with open(svg_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(reporting.svg_heatmap(cells))
-    if config.format == "csv":
-        text = reporting.field_csv(field, comments=_comment_config(config))
-    else:
-        result = {"points": field.points, "means": field.means,
-                  "stderrs": field.stderrs, "counts": field.counts,
-                  "truncated": field.truncated, "skipped": list(field.skipped),
-                  "n_walks": field.n_walks}
-        text = _json_payload(config, result, [])
-    _deliver(config, text)
-    return 0
+    return _Report(field, *reporting.field_table(field))
 
 
-def _run_exitdist(config: RunConfig) -> int:
+def _run_exitdist(config: RunConfig) -> _Report:
     _require(config, "x0")
     domain = _domain(config)
     wc = _walk_config(config)
     batch = exit_sample(domain, config.x0, wc, config.seed, config.walks,
                         threads=config.threads)
-    if config.format == "csv":
-        header = [f"x{i + 1}" for i in range(domain.dim)] + ["steps", "truncated"]
-        rows = [list(batch.exit_points[k]) + [int(batch.steps[k]), int(batch.truncated[k])]
-                for k in range(batch.exit_points.shape[0])]
-        text = reporting.csv_table(header, rows, comments=_comment_config(config))
-    else:
-        result = {"exit_points": batch.exit_points, "steps": batch.steps,
-                  "truncated": batch.truncated}
-        text = _json_payload(config, result, [])
-    _deliver(config, text)
-    return 0
+    result = {"exit_points": batch.exit_points, "steps": batch.steps,
+              "truncated": batch.truncated}
+    header = [f"x{i + 1}" for i in range(domain.dim)] + ["steps", "truncated"]
+    # A generator: the per-walk rows are built only for a CSV report.
+    rows = ([*batch.exit_points[k], int(batch.steps[k]), int(batch.truncated[k])]
+            for k in range(batch.exit_points.shape[0]))
+    return _Report(result, header, rows)
 
 
-def _run_regularity(config: RunConfig) -> int:
+def _run_regularity(config: RunConfig) -> _Report:
     _require(config, "y0", "delta", "delta_hat", "eps")
     domain = _domain(config)
     report = analysis.estimate_regularity(
         domain, config.y0, config.delta, config.delta_hat, config.eps,
         config.probes, config.walks, config.seed,
         stop_tolerance=config.stop_tol, max_steps=config.max_steps, threads=config.threads)
-    checks = []
+    checks = ()
     if config.threshold is not None:
-        checks.append({
-            "name": "min_probe_probability",
-            "statistic": report.min_probability,
-            "stderr": max(p.stderr for p in report.probes),
-            "threshold": config.threshold,
-            "passed": bool(report.min_probability >= config.threshold),
-        })
+        checks = (_check("min_probe_probability", report.min_probability,
+                         max(p.stderr for p in report.probes), config.threshold,
+                         report.min_probability >= config.threshold),)
     conclusion = ("consistent with walk-regularity at the probed scales"
-                  if not checks or checks[0]["passed"]
+                  if all(c["passed"] for c in checks)
                   else "below the requested probability threshold")
-    if config.format == "csv":
-        rows = [[*p.x0, p.probability, p.stderr, p.n] for p in report.probes]
-        header = [f"x{i + 1}" for i in range(domain.dim)] + ["probability", "stderr", "n"]
-        text = reporting.csv_table(header, rows, comments=_comment_config(config))
-    else:
-        result = {"report": report, "min_probability": report.min_probability,
-                  "conclusion": conclusion}
-        text = _json_payload(config, result, checks)
-    _deliver(config, text)
-    return _passed(checks)
+    result = {"report": report, "min_probability": report.min_probability,
+              "conclusion": conclusion}
+    header = [f"x{i + 1}" for i in range(domain.dim)] + ["probability", "stderr", "n"]
+    rows = [[*p.x0, p.probability, p.stderr, p.n] for p in report.probes]
+    return _Report(result, header, rows, checks)
 
 
-def _run_escape(config: RunConfig) -> int:
+def _run_escape(config: RunConfig) -> _Report:
     _require(config, "y0", "delta", "x0", "eps")
     domain = _domain(config)
     p, stderr = analysis.estimate_escape_probability(
         domain, config.y0, config.delta, config.x0, config.eps, config.walks,
         config.seed, stop_tolerance=config.stop_tol, max_steps=config.max_steps,
         threads=config.threads)
-    checks = []
-    if config.R is not None:
-        bound = analysis.cone_bound_theta0(domain.dim, config.R)
-        checks.append({
-            "name": "exterior_cone_escape_bound",
-            "statistic": p,
-            "stderr": stderr,
-            "threshold": bound,
-            "passed": bool(p <= bound + config.sigmas * stderr),
-        })
     result = {"probability": p, "stderr": stderr}
-    if config.format == "csv":
-        header = ["probability", "stderr"] + (["bound", "passed"] if checks else [])
-        row = [p, stderr] + ([checks[0]["threshold"], checks[0]["passed"]] if checks else [])
-        text = reporting.csv_table(header, [row], comments=_comment_config(config))
-    else:
-        text = _json_payload(config, result, checks)
-    _deliver(config, text)
-    return _passed(checks)
+    if config.R is None:
+        return _Report(result, ["probability", "stderr"], [[p, stderr]])
+    bound = analysis.cone_bound_theta0(domain.dim, config.R)
+    check = _check("exterior_cone_escape_bound", p, stderr, bound,
+                   p <= bound + config.sigmas * stderr)
+    return _Report(result, ["probability", "stderr", "bound", "passed"],
+                   [[p, stderr, bound, check["passed"]]], (check,))
 
 
 def _run_cone(config: RunConfig) -> int:
+    """theta0 always goes to stdout; --out also gets the JSON report, whatever
+    --format says."""
     _require(config, "dim", "R")
     theta0 = analysis.cone_bound_theta0(config.dim, config.R)
     sys.stdout.write(f"{theta0!r}\n")
     if config.out:
-        text = _json_payload(config, {"theta0": theta0}, [])
+        text = _json_payload(config, {"theta0": theta0}, ())
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return 0
 
 
-def _run_check_mvp(config: RunConfig) -> int:
+def _residual_report(config: RunConfig, name: str, residual: float, stderr: float) -> _Report:
+    """A residual gated at config.sigmas standard errors (plus 1e-12)."""
+    threshold = config.sigmas * stderr + 1e-12
+    check = _check(name, residual, stderr, threshold, abs(residual) <= threshold)
+    return _Report({"residual": residual, "stderr": stderr},
+                   ["residual", "stderr", "threshold", "passed"],
+                   [[residual, stderr, threshold, check["passed"]]], (check,))
+
+
+def _run_check_mvp(config: RunConfig) -> _Report:
     _require(config, "data", "x0")
     domain = _domain(config)
     wc = _walk_config(config)
@@ -415,101 +405,65 @@ def _run_check_mvp(config: RunConfig) -> int:
     residual, stderr = analysis.mean_value_residual(
         domain, data, config.x0, wc, config.n_outer, config.n_inner, config.seed,
         threads=config.threads)
-    threshold = config.sigmas * stderr + 1e-12
-    checks = [{
-        "name": "interior_mean_value_residual",
-        "statistic": residual,
-        "stderr": stderr,
-        "threshold": threshold,
-        "passed": bool(abs(residual) <= threshold),
-    }]
-    if config.format == "csv":
-        text = reporting.csv_table(
-            ["residual", "stderr", "threshold", "passed"],
-            [[residual, stderr, threshold, checks[0]["passed"]]],
-            comments=_comment_config(config))
-    else:
-        text = _json_payload(config, {"residual": residual, "stderr": stderr}, checks)
-    _deliver(config, text)
-    return _passed(checks)
+    return _residual_report(config, "interior_mean_value_residual", residual, stderr)
 
 
-def _run_check_avg(config: RunConfig) -> int:
+def _run_check_avg(config: RunConfig) -> _Report:
     _require(config, "u", "x0", "eps")
-    if config.u in PROBE_FUNCTIONS:
-        u = PROBE_FUNCTIONS[config.u]
-    else:
-        u = parse_oracle(config.u)
+    u = (PROBE_FUNCTIONS[config.u] if config.u in PROBE_FUNCTIONS
+         else parse_oracle(config.u))
     lap = u.laplacian(np.asarray(config.x0, dtype=np.float64))
     residual, stderr = analysis.averaging_residual(
         u, float(lap), config.x0, config.eps, config.n_samples, config.seed)
-    threshold = config.sigmas * stderr + 1e-12
-    checks = [{
-        "name": "ball_averaging_residual",
-        "statistic": residual,
-        "stderr": stderr,
-        "threshold": threshold,
-        "passed": bool(abs(residual) <= threshold),
-    }]
-    if config.format == "csv":
-        text = reporting.csv_table(
-            ["residual", "stderr", "threshold", "passed"],
-            [[residual, stderr, threshold, checks[0]["passed"]]],
-            comments=_comment_config(config))
-    else:
-        text = _json_payload(config, {"residual": residual, "stderr": stderr}, checks)
-    _deliver(config, text)
-    return _passed(checks)
+    return _residual_report(config, "ball_averaging_residual", residual, stderr)
 
 
-def _run_irregularity(config: RunConfig) -> int:
+def _run_irregularity(config: RunConfig) -> _Report:
     _require(config, "y0", "distances", "eps")
     domain = _domain(config)
     table = analysis.irregularity_witness(
         domain, config.y0, [config.eps], config.distances, config.walks,
         config.seed, stop_tolerance=config.stop_tol, max_steps=config.max_steps,
         threads=config.threads)
-    if config.format == "csv":
-        rows = [[r.epsilon, r.start_distance, r.mean, r.stderr, r.n, r.truncated_count]
-                for r in table.rows]
-        text = reporting.csv_table(
-            ["epsilon", "distance", "mean", "stderr", "n", "truncated"],
-            rows, comments=_comment_config(config))
-    else:
-        text = _json_payload(config, {"table": table}, [])
-    _deliver(config, text)
-    return 0
+    rows = [[r.epsilon, r.start_distance, r.mean, r.stderr, r.n, r.truncated_count]
+            for r in table.rows]
+    return _Report({"table": table},
+                   ["epsilon", "distance", "mean", "stderr", "n", "truncated"], rows)
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "field": _run_field,
-    "exitdist": _run_exitdist,
-    "regularity": _run_regularity,
-    "escape": _run_escape,
-    "cone": _run_cone,
-    "check-mvp": _run_check_mvp,
-    "check-avg": _run_check_avg,
-    "irregularity": _run_irregularity,
-}
+_RUNNERS = {"solve": _run_solve, "field": _run_field, "exitdist": _run_exitdist,
+            "regularity": _run_regularity, "escape": _run_escape,
+            "check-mvp": _run_check_mvp, "check-avg": _run_check_avg,
+            "irregularity": _run_irregularity}
 
 
 def run(config: RunConfig) -> int:
-    """Execute a resolved config; returns the process exit code."""
-    return _RUNNERS[config.command](config)
+    """Execute a resolved config; returns the process exit code.
+
+    Every command but cone returns a _Report, rendered here as CSV or JSON
+    and written to --out or stdout; the exit code is 2 when a check failed.
+    """
+    if config.command == "cone":
+        return _run_cone(config)
+    report = _RUNNERS[config.command](config)
+    if config.format == "csv":
+        text = reporting.csv_table(report.header, report.rows,
+                                   comments=_comment_config(config))
+    else:
+        text = _json_payload(config, report.result, report.checks)
+    if config.out:
+        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if all(c["passed"] for c in report.checks) else 2
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
+        return run(parse_config(argv))
     except SystemExit as e:
-        code = e.code if isinstance(e.code, int) else 1
-        return 0 if code == 0 else 1
-    except (ValueError, OSError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    try:
-        return run(config)
+        return 0 if e.code == 0 else 1
     except (ValueError, RuntimeError, OSError, NotImplementedError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

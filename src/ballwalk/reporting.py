@@ -43,15 +43,19 @@ def csv_table(header: list[str], rows, *, comments: dict[str, Any] | None = None
     return "\n".join(lines) + "\n"
 
 
-def field_csv(result: FieldResult, *, comments: dict[str, Any] | None = None) -> str:
-    """Field estimates as CSV with columns x1..xN,mean,stderr,n,truncated."""
+def field_table(result: FieldResult) -> tuple[list[str], list[list]]:
+    """Field estimates as a header x1..xN,mean,stderr,n,truncated and its rows."""
     n_dim = result.points.shape[1]
     header = [f"x{i + 1}" for i in range(n_dim)] + ["mean", "stderr", "n", "truncated"]
-    rows = []
-    for j in range(result.points.shape[0]):
-        rows.append(list(result.points[j]) + [result.means[j], result.stderrs[j],
-                                              int(result.counts[j]), int(result.truncated[j])])
-    return csv_table(header, rows, comments=comments)
+    rows = [[*result.points[j], result.means[j], result.stderrs[j],
+             int(result.counts[j]), int(result.truncated[j])]
+            for j in range(result.points.shape[0])]
+    return header, rows
+
+
+def field_csv(result: FieldResult, *, comments: dict[str, Any] | None = None) -> str:
+    """Field estimates as CSV with columns x1..xN,mean,stderr,n,truncated."""
+    return csv_table(*field_table(result), comments=comments)
 
 
 def trace_csv(trace) -> str:

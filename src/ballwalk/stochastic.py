@@ -196,6 +196,16 @@ class RngStream:
         return replace(self, offset=self.offset + count)
 
 
+def _sample(stream: RngStream, n_dim: int, count: int | None, per: int, sampler) -> _Array:
+    """``count`` samples (or one) of ``sampler``, each taking ``per`` draws,
+    read from ``stream`` at its offset."""
+    m = 1 if count is None else int(count)
+    base = np.broadcast_to(_stream_base(stream.master_seed, stream.stream_index), (m,))
+    first = _as_u64(stream.offset) + np.arange(m, dtype=np.uint64) * np.uint64(per)
+    pts = sampler(base, first, n_dim)
+    return pts[0] if count is None else pts
+
+
 def sample_unit_ball(stream: RngStream, n_dim: int, count: int | None = None) -> _Array:
     """Uniform sample(s) from the open unit ball in n_dim dimensions.
 
@@ -203,12 +213,7 @@ def sample_unit_ball(stream: RngStream, n_dim: int, count: int | None = None) ->
     ``count`` is given.  Pure: does not advance the stream.
     """
     _check_dim(n_dim)
-    m = 1 if count is None else int(count)
-    base = np.broadcast_to(_stream_base(stream.master_seed, stream.stream_index), (m,))
-    per = draws_per_ball(n_dim)
-    first = _as_u64(stream.offset) + np.arange(m, dtype=np.uint64) * np.uint64(per)
-    pts = _unit_ball_from_base(base, first, n_dim)
-    return pts[0] if count is None else pts
+    return _sample(stream, n_dim, count, draws_per_ball(n_dim), _unit_ball_from_base)
 
 
 def sample_unit_sphere(stream: RngStream, n_dim: int, count: int | None = None) -> _Array:
@@ -217,9 +222,4 @@ def sample_unit_sphere(stream: RngStream, n_dim: int, count: int | None = None) 
     Same shape and purity conventions as :func:`sample_unit_ball`.
     """
     _check_dim(n_dim)
-    m = 1 if count is None else int(count)
-    base = np.broadcast_to(_stream_base(stream.master_seed, stream.stream_index), (m,))
-    per = draws_per_sphere(n_dim)
-    first = _as_u64(stream.offset) + np.arange(m, dtype=np.uint64) * np.uint64(per)
-    pts = _unit_sphere_from_base(base, first, n_dim)
-    return pts[0] if count is None else pts
+    return _sample(stream, n_dim, count, draws_per_sphere(n_dim), _unit_sphere_from_base)

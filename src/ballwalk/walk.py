@@ -106,8 +106,8 @@ class WalkBatch:
 class _StepDraws:
     """Per-step unit-ball or unit-sphere draws for the walks in a batch's lanes.
 
-    Step s of a walk reads the sample whose first draw is offset + s * per on
-    the walk's stream, whatever the batch.  A lane stores offset - a * per
+    Step s of a walk reads the sample whose first draw is s * per on the
+    walk's stream, whatever the batch.  A lane stores the offset -a * per
     (mod 2**64) for a walk admitted at iteration a, so iteration t reads
     lane offset + t * per for every lane alike.  While the live batch is
     narrower than _PREFETCH_ROWS, one sampler call fills a block of k
@@ -117,15 +117,13 @@ class _StepDraws:
     """
 
     def __init__(self, n_dim: int, sphere: bool, master_seed: int, stream_indices,
-                 draw_offsets, max_steps: int, lanes: int):
-        m = stream_indices.shape[0]
+                 max_steps: int, lanes: int):
         self._n_dim = n_dim
         self._sampler = _unit_sphere_from_base if sphere else _unit_ball_from_base
         self._per = np.uint64(draws_per_sphere(n_dim) if sphere else draws_per_ball(n_dim))
         self._all_bases = _stream_base(master_seed, stream_indices)
-        self._all_offsets = np.broadcast_to(_as_u64(draw_offsets), (m,))
         self._bases = self._all_bases[:lanes].copy()
-        self._offsets = self._all_offsets[:lanes].copy()
+        self._offsets = np.zeros(lanes, dtype=np.uint64)
         self._max_steps = max_steps
         self._horizon = max_steps   # no lane steps at or past this iteration
         self._block: _Array | None = None   # (live, k, n): iterations block_t .. block_t + k - 1
@@ -141,7 +139,7 @@ class _StepDraws:
     def admit(self, lanes: NDArray[np.intp], walks: NDArray[np.intp], t: int) -> None:
         """Give ``lanes`` to ``walks``, whose step 0 is iteration t."""
         self._bases[lanes] = self._all_bases[walks]
-        self._offsets[lanes] = self._all_offsets[walks] - np.uint64(t) * self._per
+        self._offsets[lanes] = (-t * int(self._per)) % 2**64
         self._horizon = t + self._max_steps
         self._block = None
 
@@ -169,7 +167,6 @@ def run_walks(
     master_seed: int,
     stream_indices,
     *,
-    draw_offsets=0,
     excursion_center=None,
     stop_radius: float | None = None,
     record_trace: bool = False,
@@ -204,7 +201,7 @@ def run_walks(
     max_steps = config.max_steps
     sphere = config.kind == SPHERE
     lanes = min(_LANES, m)
-    draws = _StepDraws(n, sphere, master_seed, idx, draw_offsets, max_steps, lanes)
+    draws = _StepDraws(n, sphere, master_seed, idx, max_steps, lanes)
 
     # Lane state is kept compact (one row per lane, in ``alive`` order) and
     # written to the outputs only when walks leave the batch.

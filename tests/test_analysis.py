@@ -242,6 +242,17 @@ def test_escape_trivial_cases():
     ) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("n_walks", [-3, 0, 2.5])
+def test_closed_form_shortcuts_validate_walks(n_walks):
+    # The walk count is refused before any shortcut answers without walks.
+    with pytest.raises(ValueError, match="n_walks"):
+        estimate_regularity(DISK, (1.0, 0.0), 5.0, 0.02, 0.1, 2, n_walks, 0)
+    with pytest.raises(ValueError, match="n_walks"):
+        estimate_escape_probability(DISK, (1.0, 0.0), 0.05, (0.9, 0.0), 0.02, n_walks, 0)
+    with pytest.raises(ValueError, match="n_walks"):
+        estimate_escape_probability(DISK, (1.0, 0.0), 5.0, (0.9, 0.0), 0.02, n_walks, 0)
+
+
 def test_escape_monotone_in_delta():
     ps = []
     for delta in (0.3, 0.5, 0.7):

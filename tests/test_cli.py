@@ -254,3 +254,97 @@ def test_irregularity_rows(tmp_path):
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "epsilon,distance,mean,stderr,n,truncated"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("value, svg", [("false", False), ("true", True), (False, False),
+                                        (True, True)])
+def test_bool_config_values_are_read_exactly(value, svg):
+    assert config_from_dict({"command": "field", "svg": value}).svg is svg
+
+
+def test_integral_floats_are_ints():
+    config = config_from_dict({"command": "field", "walks": 3.0, "grid": [4.0, "5"]})
+    assert config.walks == 3 and type(config.walks) is int
+    assert config.grid == (4, 5) and all(type(k) is int for k in config.grid)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("svg", "yes"), ("svg", 0), ("svg", "False"), ("walks", 2.7), ("walks", "2.5"),
+    ("walks", float("inf")), ("walks", float("nan")), ("grid", [4.5, 2]), ("x0", 5),
+    ("y0", {"1": 0}), ("eps", "fast"),
+])
+def test_config_value_is_read_exactly_or_refused(key, value):
+    with pytest.raises(ValueError, match=key):
+        config_from_dict({"command": "field", key: value})
+
+
+def test_config_file_value_error_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "solve", "domain": "ball(0,0;1)",
+                               "data": "constant(1)", "eps": 0.1, "x0": 5}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x0" in err
+
+
+BOUNDARY = ["--domain", "ball(0,0;1)", "--y0", "1,0", "--eps", "0.1", "--walks", "20"]
+ESCAPE = ["--domain", "ball(0,0,0;1)", "--y0", "1,0,0", "--x0", "0.99,0,0", "--delta", "0.5",
+          "--eps", "0.05", "--walks", "20"]
+REGULARITY = [*BOUNDARY, "--delta", "0.3", "--delta-hat", "0.02", "--probes", "2"]
+# One small run per reported command (regularity and escape with and without
+# their gate): arguments, CSV header, result keys, and whether it is gated.
+REPORTED = {
+    "solve": (["solve", *DISK_ARGS, "--eps", "0.2", "--walks", "20"],
+              "mean,stderr,n,truncated", {"mean", "stderr", "n", "ci95", "truncated_count"},
+              False),
+    "field": (["field", "--domain", "box(0,0;1,1)", "--data", "constant(1)", "--eps", "0.2",
+               "--walks", "5", "--grid", "2,2"], "x1,x2,mean,stderr,n,truncated",
+              {"points", "means", "stderrs", "counts", "truncated", "skipped", "n_walks"},
+              False),
+    "exitdist": (["exitdist", *DISK_ARGS, "--eps", "0.2", "--walks", "5"],
+                 "x1,x2,steps,truncated", {"exit_points", "steps", "truncated"}, False),
+    "regularity": (["regularity", *REGULARITY], "x1,x2,probability,stderr,n",
+                   {"report", "min_probability", "conclusion"}, False),
+    "regularity-gated": (["regularity", *REGULARITY, "--threshold", "0.1"],
+                         "x1,x2,probability,stderr,n",
+                         {"report", "min_probability", "conclusion"}, True),
+    "escape": (["escape", *ESCAPE], "probability,stderr", {"probability", "stderr"}, False),
+    "escape-gated": (["escape", *ESCAPE, "--R", "67.7"], "probability,stderr,bound,passed",
+                     {"probability", "stderr"}, True),
+    "check-mvp": (["check-mvp", *DISK_ARGS, "--eps", "0.2", "--n-outer", "2",
+                   "--n-inner", "10"], "residual,stderr,threshold,passed",
+                  {"residual", "stderr"}, True),
+    "check-avg": (["check-avg", "--u", "squared_norm", "--x0", "0.2,0.1", "--eps", "0.1",
+                   "--n-samples", "500"], "residual,stderr,threshold,passed",
+                  {"residual", "stderr"}, True),
+    "irregularity": (["irregularity", *BOUNDARY, "--distances", "0.05,0.01"],
+                     "epsilon,distance,mean,stderr,n,truncated", {"table"}, False),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(REPORTED))
+def test_every_reported_command_in_both_formats(case, fmt, capsys):
+    argv, header, result_keys, gated = REPORTED[case]
+    assert main([*argv, "--seed", "3", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        assert lines[0] == header and len(lines) > 1
+        assert f"# command={argv[0]}" in out.splitlines()
+    else:
+        report = json.loads(out)
+        assert set(report) == ({"config", "result", "checks"} if gated
+                               else {"config", "result"})
+        assert set(report["result"]) == result_keys
+        assert all(c["passed"] is True for c in report.get("checks", []))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cone_prints_theta0_and_writes_json_in_either_format(fmt, tmp_path, capsys):
+    out = tmp_path / "cone.out"
+    assert main(["cone", "--dim", "3", "--R", "1", "--format", fmt, "--out", str(out)]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(8.0 / 9.0, abs=1e-12)
+    report = json.loads(out.read_text())
+    assert set(report) == {"config", "result"}
+    assert report["result"] == {"theta0": pytest.approx(8.0 / 9.0, abs=1e-12)}

@@ -166,15 +166,6 @@ def test_excursion_center_shift():
     assert np.all(shifted.max_excursion >= 0.7)
 
 
-def test_draw_offsets_shift_the_stream():
-    cfg = WalkConfig(0.2)
-    base = run_walks(DISK, (0.1, 0.1), cfg, 21, [5])
-    same = run_walks(DISK, (0.1, 0.1), cfg, 21, [5], draw_offsets=0)
-    moved = run_walks(DISK, (0.1, 0.1), cfg, 21, [5], draw_offsets=[30])
-    assert np.array_equal(base.exit_points, same.exit_points)
-    assert not np.array_equal(base.exit_points, moved.exit_points)
-
-
 def test_interior_start_required():
     with pytest.raises(ValueError):
         run_walks(DISK, (2.0, 0.0), WalkConfig(0.2), 0, [0])
@@ -211,13 +202,12 @@ def test_stopped_walks_need_room():
 
 
 def test_stopped_walk_honours_the_stream_offset():
+    # A ring-stopped walk reads its own stream whatever its place in a batch.
     x0, cfg, r = (0.0, 0.0), WalkConfig(0.05), 0.3
-    plain = run_walks(DISK, x0, cfg, 17, [3], stop_radius=r)
-    moved = run_walks(DISK, x0, cfg, 17, [3], draw_offsets=50, stop_radius=r)
-    assert not np.array_equal(moved.exit_points[0], plain.exit_points[0])
-    batch = run_walks(DISK, x0, cfg, 17, range(8), draw_offsets=50, stop_radius=r)
-    assert np.array_equal(moved.exit_points[0], batch.exit_points[3])
-    assert moved.steps[0] == batch.steps[3]
+    alone = run_walks(DISK, x0, cfg, 17, [3], stop_radius=r)
+    batch = run_walks(DISK, x0, cfg, 17, range(8), stop_radius=r)
+    assert np.array_equal(alone.exit_points[0], batch.exit_points[3])
+    assert alone.steps[0] == batch.steps[3]
 
 
 def test_walks_work_in_a_box():
@@ -233,12 +223,11 @@ def _interior_starts(dim, m, seed):
     return 0.9 * rng.uniform(size=(m, 1)) * u / np.linalg.norm(u, axis=1)[:, None]
 
 
-def _assert_matches_walks_alone(domain, starts, cfg, seed, idx, offsets):
+def _assert_matches_walks_alone(domain, starts, cfg, seed, idx):
     """Run the batch, then every walk alone, and require identical outcomes."""
-    batch = run_walks(domain, starts, cfg, seed, idx, draw_offsets=offsets)
+    batch = run_walks(domain, starts, cfg, seed, idx)
     for row in range(len(idx)):
-        alone = run_walks(domain, starts[row], cfg, seed, [idx[row]],
-                          draw_offsets=[offsets[row]])
+        alone = run_walks(domain, starts[row], cfg, seed, [idx[row]])
         assert np.array_equal(batch.exit_points[row], alone.exit_points[0])
         assert batch.steps[row] == alone.steps[0]
         assert batch.truncated[row] == alone.truncated[0]
@@ -261,23 +250,22 @@ def _every_shape(test):
     """Run ``test`` on every shape in 2-D and 3-D, once with a cap that
     truncates some walks, besides the examples hypothesis draws."""
     for shape, dim in SHAPES:
-        test = example(shape, dim, BALL, 24, 7, True, 10_000_000)(test)
-        test = example(shape, dim, SPHERE, 24, 8, False, 6)(test)
+        test = example(shape, dim, BALL, 24, 7, 10_000_000)(test)
+        test = example(shape, dim, SPHERE, 24, 8, 6)(test)
     return test
 
 
 @given(st.sampled_from(sorted({shape for shape, _ in SHAPES})), st.sampled_from([2, 3]),
        st.sampled_from([BALL, SPHERE]), st.integers(1, 40), st.integers(0, 2**40),
-       st.booleans(), st.one_of(st.just(10_000_000), st.integers(1, 60)))
+       st.one_of(st.just(10_000_000), st.integers(1, 60)))
 @_every_shape
 @settings(max_examples=30, deadline=None)
-def test_multi_start_batch_matches_walks_run_alone(shape, dim, kind, m, seed, shifted, cap):
+def test_multi_start_batch_matches_walks_run_alone(shape, dim, kind, m, seed, cap):
     domain = SHAPES[shape, dim]
     cfg = WalkConfig(0.2, kind=kind, max_steps=cap)
     idx = np.arange(m) * 3 + seed % 1000
-    offsets = (np.arange(m) * 97 + 5) if shifted else np.zeros(m, dtype=np.int64)
     starts = _starts_inside(domain, m, seed)
-    batch = _assert_matches_walks_alone(domain, starts, cfg, seed, idx, offsets)
+    batch = _assert_matches_walks_alone(domain, starts, cfg, seed, idx)
     # each walk measures its excursion from its own start; an exit point is
     # within the stop tolerance of the walk's last position
     ok = ~batch.truncated
@@ -298,8 +286,7 @@ def test_batch_wider_than_prefetch_rows_matches_walks_alone(monkeypatch):
     monkeypatch.setattr(walk, "_unit_ball_from_base", spy)
     m = walk._PREFETCH_ROWS + 60
     starts = _interior_starts(2, m, 12)
-    _assert_matches_walks_alone(DISK, starts, WalkConfig(0.25), 12, np.arange(m),
-                                np.arange(m) * 11)
+    _assert_matches_walks_alone(DISK, starts, WalkConfig(0.25), 12, np.arange(m))
     assert 1 in depths and max(depths) > 1
 
 
@@ -308,8 +295,7 @@ def test_truncation_lands_at_the_cap_inside_a_block():
     assert cap < walk._PREFETCH_ROWS // m       # one block would reach past the cap
     cfg = WalkConfig(0.02, max_steps=cap)
     starts = 0.1 * _interior_starts(3, m, 4)
-    batch = _assert_matches_walks_alone(BALLS[3], starts, cfg, 4, np.arange(m),
-                                        np.full(m, 1000))
+    batch = _assert_matches_walks_alone(BALLS[3], starts, cfg, 4, np.arange(m))
     assert np.all(batch.truncated)
     assert np.all(batch.steps == cap)
 
@@ -317,12 +303,11 @@ def test_truncation_lands_at_the_cap_inside_a_block():
 @pytest.mark.parametrize("kind", [BALL, SPHERE])
 def test_step_t_reads_the_sample_at_offset_plus_t_draws(kind):
     # Whatever the block depth, step t of walk k moves by the sample whose
-    # first draw is offset_k + t * per on stream k.
+    # first draw is t * per on stream k.
     cfg = WalkConfig(0.1, kind=kind)
-    idx, offsets = [3, 8, 21], [0, 5, 1000]
+    idx = [3, 8, 21]
     starts = _interior_starts(2, 3, 6)
-    batch, traces = run_walks(DISK, starts, cfg, 6, idx, draw_offsets=offsets,
-                              record_trace=True)
+    batch, traces = run_walks(DISK, starts, cfg, 6, idx, record_trace=True)
     sample = sample_unit_sphere if kind == SPHERE else sample_unit_ball
     per = draws_per_sphere(2) if kind == SPHERE else draws_per_ball(2)
     for k, tr in enumerate(traces):
@@ -330,7 +315,7 @@ def test_step_t_reads_the_sample_at_offset_plus_t_draws(kind):
         for t in range(batch.steps[k]):
             dist = DISK.distance_to_boundary(tr[t])
             radius = min(cfg.epsilon, 0.5 * dist if kind == SPHERE else dist)
-            w = sample(RngStream(6, idx[k], offsets[k] + t * per), 2)
+            w = sample(RngStream(6, idx[k], t * per), 2)
             assert np.array_equal(tr[t + 1], tr[t] + radius * w)
 
 
@@ -400,34 +385,32 @@ def test_exits_are_projected_in_one_call(monkeypatch, case):
 
 @given(st.sampled_from(sorted(SHAPES)), st.sampled_from([BALL, SPHERE]), st.integers(1, 30),
        st.integers(0, 2**40), st.integers(1, 9), st.sampled_from([1, 2, 5, 16, 64]),
-       st.booleans(), st.booleans(), st.booleans(),
+       st.booleans(), st.booleans(),
        st.one_of(st.just(10_000_000), st.integers(1, 40)),
        st.one_of(st.none(), st.floats(0.05, 0.8)))
-@example(("ball", 2), BALL, 30, 3, 4, 16, False, True, True, 9, None)
-@example(("difference", 3), SPHERE, 25, 4, 3, 5, True, True, False, 10_000_000, None)
-@example(("box", 2), BALL, 30, 5, 4, 16, True, False, True, 10_000_000, 0.3)
-@example(("annulus", 3), SPHERE, 25, 6, 3, 5, False, True, False, 12, 0.5)
+@example(("ball", 2), BALL, 30, 3, 4, 16, False, True, 9, None)
+@example(("difference", 3), SPHERE, 25, 4, 3, 5, True, True, 10_000_000, None)
+@example(("box", 2), BALL, 30, 5, 4, 16, True, False, 10_000_000, 0.3)
+@example(("annulus", 3), SPHERE, 25, 6, 3, 5, False, True, 12, 0.5)
 @settings(max_examples=40, deadline=None)
 def test_lane_refill_matches_walks_run_alone(key, kind, m, seed, lanes, prefetch,
-                                             shared, centered, shifted, cap, stop_radius):
+                                             shared, centered, cap, stop_radius):
     # With fewer lanes than walks, lanes are refilled as walks exit, while
     # block prefetch fills and drops blocks in between; a ring stop may end
     # walks before the boundary does.
     domain = SHAPES[key]
     cfg = WalkConfig(0.2, kind=kind, max_steps=cap)
     idx = np.arange(m) * 5 + seed % 997
-    offsets = (np.arange(m) * 31 + 2) if shifted else np.zeros(m, dtype=np.int64)
     starts = _starts_inside(domain, m, seed)
     x0 = starts[0] if shared else starts
     center = domain.bounding_box()[0] if centered else None
     with mock.patch.object(walk, "_LANES", lanes), \
             mock.patch.object(walk, "_PREFETCH_ROWS", prefetch):
-        batch = run_walks(domain, x0, cfg, seed, idx, draw_offsets=offsets,
-                          excursion_center=center, stop_radius=stop_radius)
+        batch = run_walks(domain, x0, cfg, seed, idx, excursion_center=center,
+                          stop_radius=stop_radius)
     for row in range(m):
         alone = run_walks(domain, x0 if shared else starts[row:row + 1], cfg, seed,
-                          [idx[row]], draw_offsets=[offsets[row]], excursion_center=center,
-                          stop_radius=stop_radius)
+                          [idx[row]], excursion_center=center, stop_radius=stop_radius)
         assert np.array_equal(batch.exit_points[row], alone.exit_points[0])
         assert batch.steps[row] == alone.steps[0]
         assert batch.truncated[row] == alone.truncated[0]
