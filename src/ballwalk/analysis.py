@@ -8,8 +8,8 @@ property of a single step.
 
 Every diagnostic that runs walks goes through exit_sample or
 estimate_field, so walks fan out over threads in one place and walk k of a
-batch uses stream stream_base + k; the exit-measure walks are exit_sample
-walks with a ring stop.  Walk streams occupy low indices
+batch uses stream stream_base + k; the exit-measure and escape walks are
+exit_sample walks with a ring stop.  Walk streams occupy low indices
 (documented per routine); auxiliary sampling (probe locations, averaging
 centers, single-step draws) lives in the block starting at AUX_STREAM_BASE
 so it can never collide with walk streams.
@@ -28,6 +28,7 @@ from .estimator import (
     BoundaryData,
     DistanceTo,
     _check_n_walks,
+    _check_threads,
     _require_sane_truncation,
     estimate_field,
     exit_sample,
@@ -230,7 +231,7 @@ def exit_measure_stats(
     if domain.distance_to_boundary(x0) < 2.0 * r:
         raise ValueError("the ball of radius 2r around x0 must stay inside the domain")
     config = WalkConfig(epsilon, stop_tolerance=0.5 * epsilon)
-    batch = exit_sample(domain, x0, config, master_seed, n, stop_radius=r)
+    batch = exit_sample(domain, x0, config, master_seed, n, ring=(x0, r))
     truncated = int(batch.truncated.sum())
     if truncated:
         raise RuntimeError(
@@ -294,6 +295,7 @@ def estimate_regularity(
         raise ValueError(f"probe_count must be a positive integer, got {probe_count!r}")
     probe_count = int(probe_count)
     n_walks = _check_n_walks(n_walks)
+    threads = _check_threads(threads)
     scale = _boundary_scale(domain)
     if abs(domain.signed_distance(y0)) > 1e-9 * scale:
         raise ValueError("y0 must lie on the domain boundary")
@@ -350,9 +352,12 @@ def estimate_escape_probability(
 
     The excursion is sup over the path of |x_t - y0| including the start, so
     |x0 - y0| >= delta returns (1.0, 0.0) exactly and delta >= |x0 - y0| +
-    diam(D) returns (0.0, 0.0) exactly, both without simulation.  Walk k uses
-    stream k.  Under a shared seed the result is monotone nonincreasing in
-    delta samplewise: the paths are identical and only the threshold moves.
+    diam(D) returns (0.0, 0.0) exactly, both without simulation.  Escape is
+    a ring stop at (y0, delta): a walk escapes when its first position at
+    distance delta or more from y0 comes no later than its boundary stop, so
+    an escaped walk is never truncated.  Walk k uses stream k.  Under a
+    shared seed the result is monotone nonincreasing in delta samplewise:
+    the paths are identical and only the threshold moves.
     """
     y0 = _domain_point(domain, y0)
     x0 = _domain_point(domain, x0)
@@ -360,7 +365,9 @@ def estimate_escape_probability(
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     n_walks = _check_n_walks(n_walks)
-    start_distance = float(np.linalg.norm(x0 - y0))
+    threads = _check_threads(threads)
+    # The row-wise norm of the ring stop's test at iteration 0, bit for bit.
+    start_distance = float(np.linalg.norm((x0 - y0)[None, :], axis=1)[0])
     if start_distance >= delta:
         return 1.0, 0.0
     if delta >= start_distance + domain.diameter():
@@ -370,11 +377,11 @@ def estimate_escape_probability(
     config = WalkConfig(epsilon=epsilon, stop_tolerance=stop_tolerance,
                         max_steps=max_steps)
     batch = exit_sample(domain, x0, config, master_seed, n_walks,
-                        excursion_center=y0, threads=threads)
+                        ring=(y0, delta), threads=threads)
     _require_sane_truncation(int(batch.truncated.sum()), batch.truncated.size)
     ok = ~batch.truncated
     n_ok = int(ok.sum())
-    escaped = batch.max_excursion[ok] >= delta
+    escaped = np.linalg.norm(batch.exit_points[ok] - y0, axis=1) >= delta
     p = float(escaped.mean())
     stderr = math.sqrt(p * (1.0 - p) / n_ok)
     return p, stderr

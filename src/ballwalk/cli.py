@@ -69,11 +69,20 @@ _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _int(value) -> int:
-    """An int, refusing a value that int() would change (2.7, not 2)."""
+    """An int, refusing a boolean or a value that int() would change (2.7, not 2)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
     out = int(value)
     if not isinstance(value, str) and out != value:
         raise ValueError(f"{value!r} is not an integer")
     return out
+
+
+def _float(value) -> float:
+    """A float, refusing a boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _bool(value) -> bool:
@@ -98,14 +107,14 @@ def _tuple_of(kind):
 
 def _coercer(hint):
     """The coercer for a RunConfig field type: None is stripped from a union,
-    tuple[T, ...] reads a comma string or a list, int and bool are exact, and
-    any other type is its own."""
+    tuple[T, ...] reads a comma string or a list, int and bool are exact,
+    numbers refuse booleans, and any other type is its own."""
     if typing.get_origin(hint) is tuple:
         return _tuple_of(_coercer(typing.get_args(hint)[0]))
     members = [a for a in typing.get_args(hint) if a is not type(None)]
     if members:
         return _coercer(members[0])
-    return {int: _int, bool: _bool}.get(hint, hint)
+    return {int: _int, float: _float, bool: _bool}.get(hint, hint)
 
 
 _COERCERS = {name: _coercer(hint) for name, hint in typing.get_type_hints(RunConfig).items()}

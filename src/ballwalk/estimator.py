@@ -297,15 +297,14 @@ def exit_sample(
     n_walks: int,
     *,
     stream_base: int = 0,
-    excursion_center=None,
-    stop_radius: float | None = None,
+    ring: tuple | None = None,
     threads: int = 1,
 ) -> WalkBatch:
     """Simulate n_walks exits; walk k uses stream stream_base + k.
 
     ``x0`` is one start (n,) shared by every walk or one start per walk
-    (n_walks, n); ``excursion_center`` and ``stop_radius`` are passed to
-    run_walks.
+    (n_walks, n); ``ring=(center, r)`` is passed to run_walks, which then
+    stops each walk at distance r from center and leaves it unprojected.
     """
     n_walks = _check_n_walks(n_walks)
     threads = _check_threads(threads)
@@ -317,15 +316,13 @@ def exit_sample(
     def worker(lo: int, hi: int) -> WalkBatch:
         starts = x0[lo:hi] if x0.ndim == 2 else x0
         return run_walks(domain, starts, config, master_seed,
-                         _stream_range(stream_base, lo, hi),
-                         excursion_center=excursion_center, stop_radius=stop_radius)
+                         _stream_range(stream_base, lo, hi), ring=ring)
 
     parts = _map_chunks(worker, n_walks, threads)
     return WalkBatch(
         exit_points=np.concatenate([p.exit_points for p in parts], axis=0),
         steps=np.concatenate([p.steps for p in parts]),
         truncated=np.concatenate([p.truncated for p in parts]),
-        max_excursion=np.concatenate([p.max_excursion for p in parts]),
     )
 
 
@@ -446,12 +443,12 @@ def tietze_extend(anchor_points, anchor_values, x) -> float | _Array:
 
 
 def _check_n_walks(n_walks, minimum: int = 1) -> int:
-    if int(n_walks) != n_walks or n_walks < minimum:
+    if isinstance(n_walks, bool) or int(n_walks) != n_walks or n_walks < minimum:
         raise ValueError(f"n_walks must be an integer >= {minimum}, got {n_walks!r}")
     return int(n_walks)
 
 
 def _check_threads(threads) -> int:
-    if int(threads) != threads or threads < 1:
+    if isinstance(threads, bool) or int(threads) != threads or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     return int(threads)

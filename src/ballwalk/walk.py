@@ -5,9 +5,10 @@ in the unit ball; the sphere walk moves by min(epsilon, dist(x) / 2) * w with
 w uniform on the unit sphere.  A walk terminates when the boundary distance
 drops below the stop tolerance and reports the nearest-boundary projection
 as its exit point; a step cap marks the outcome truncated instead of raising.
-A batch may also stop each walk on its first departure from a ball of given
-radius around its start (the ring stop of the exit-measure diagnostic); it
-then reports every walk's final position unprojected.
+A batch may also stop each walk at its first position at distance at least r
+from a center point c (the ring stop: the exit-measure diagnostic rings the
+start, the escape estimator rings a boundary point); it then reports every
+walk's final position unprojected.
 
 The batch runner advances many walks in lockstep with vectorized numpy ops,
 from one shared start or from one start per walk.  Each walk consumes draws
@@ -100,7 +101,6 @@ class WalkBatch:
     exit_points: _Array
     steps: NDArray[np.int64]
     truncated: NDArray[np.bool_]
-    max_excursion: _Array
 
 
 class _StepDraws:
@@ -167,20 +167,17 @@ def run_walks(
     master_seed: int,
     stream_indices,
     *,
-    excursion_center=None,
-    stop_radius: float | None = None,
+    ring: tuple | None = None,
     record_trace: bool = False,
 ) -> WalkBatch | tuple[WalkBatch, list[_Array]]:
     """Advance one walk per stream index until exit or cap; see WalkBatch.
 
     ``x0`` is one start (n,) shared by every walk, or one start per walk
-    (m, n) in stream-index order.  max_excursion is measured from each walk's
-    own start unless ``excursion_center`` names another reference point (the
-    escape-probability estimator measures spread around a boundary point).
-    With ``stop_radius`` a walk also stops before the first step at which
-    its max_excursion is at least stop_radius (its first departure from the
-    ball of that radius around the reference), and every walk's final
-    position is returned unprojected in exit_points.
+    (m, n) in stream-index order.  With ``ring=(center, r)`` a walk also
+    stops at the top of the first iteration in which its position lies at
+    distance at least r from the one point ``center`` (so a walk that starts
+    there takes no step), and every walk's final position is returned
+    unprojected in exit_points.
     With ``record_trace`` the full position history is returned as one
     (steps+1, n) array per walk; use small batches.
 
@@ -206,27 +203,18 @@ def run_walks(
     # Lane state is kept compact (one row per lane, in ``alive`` order) and
     # written to the outputs only when walks leave the batch.
     cur = np.broadcast_to(starts, (m, n))[:lanes].copy()
-    if excursion_center is not None:
-        ref = _prep(excursion_center, n)[0][0]
-    else:
-        ref = starts[0] if shared else starts[:lanes].copy()
-    # A shared start's excursion uses the same 1-D norm as the distance
-    # callers compare it with (estimate_escape_probability's start_distance).
-    if shared:
-        start_exc = float(np.linalg.norm(starts[0] - ref))
-        exc = np.full(lanes, start_exc)
-    else:
-        if excursion_center is None:
-            start_exc = np.zeros(m)
-        else:
-            start_exc = np.linalg.norm(starts - ref, axis=1)
-        exc = start_exc[:lanes].copy()
+    if ring is not None:
+        center, one = _prep(ring[0], n)
+        if not one:
+            raise ValueError("the ring center must be one point")
+        ring_radius = float(ring[1])
+        if not ring_radius > 0.0:
+            raise ValueError(f"the ring radius must be positive, got {ring[1]!r}")
     final = np.empty((m, n))
     # A live walk's entry holds the iteration of its step 0; it becomes the
     # walk's step count when the walk leaves.
     steps = np.zeros(m, dtype=np.int64)
     truncated = np.zeros(m, dtype=bool)
-    excursion = np.empty(m)
     traces: list[list[_Array]] = (
         [[row.copy()] for row in np.broadcast_to(starts, (m, n))] if record_trace else [])
 
@@ -237,8 +225,8 @@ def run_walks(
         dist = -domain._sd(cur)
         np.maximum(dist, 0.0, out=dist)
         done = dist < tol
-        if stop_radius is not None:
-            done |= exc >= stop_radius
+        if ring is not None:
+            done |= np.linalg.norm(cur - center, axis=1) >= ring_radius
         if t >= max_steps:
             capped = ~done & (t - steps[alive] >= max_steps)
             truncated[alive[capped]] = True
@@ -248,7 +236,6 @@ def run_walks(
             rows = alive[done]
             final[rows] = cur[done]
             steps[rows] = t - steps[rows]
-            excursion[rows] = exc[done]
             compact = True
             if pending < m:
                 # These lanes step once more with their exited walks, unread,
@@ -263,13 +250,9 @@ def run_walks(
                     break
                 cur = cur[keep]
                 dist = dist[keep]
-                exc = exc[keep]
-                if ref.ndim == 2:
-                    ref = ref[keep]
                 draws.drop(keep)
         radius = np.minimum(eps, 0.5 * dist) if sphere else np.minimum(eps, dist)
         cur += radius[:, None] * draws.take(t)
-        np.maximum(exc, np.linalg.norm(cur - ref, axis=1), out=exc)
         if record_trace:
             parked = set(refill.tolist()) if refill is not None else set()
             for k, row in enumerate(alive):
@@ -282,18 +265,15 @@ def run_walks(
             alive[refill] = walks
             steps[walks] = t
             cur[refill] = starts[0] if shared else starts[walks]
-            exc[refill] = start_exc if shared else start_exc[walks]
-            if ref.ndim == 2:
-                ref[refill] = starts[walks]
             draws.admit(refill, walks, t)
 
     # Exits are projected after the loop, one call per _LANES rows, in place;
     # _project works row by row, so how many walks share a call never changes
     # an exit.
-    if stop_radius is None:
+    if ring is None:
         for lo in range(0, m, lanes):
             final[lo:lo + lanes] = domain._project(final[lo:lo + lanes])
-    batch = WalkBatch(final, steps, truncated, excursion)
+    batch = WalkBatch(final, steps, truncated)
     if record_trace:
         return batch, [np.asarray(tr) for tr in traces]
     return batch

@@ -240,17 +240,35 @@ def test_escape_trivial_cases():
     assert estimate_escape_probability(
         DISK, (1.0, 0.0), 5.0, (0.9, 0.0), 0.02, 10, 0
     ) == (0.0, 0.0)
+    # The shortcut and the ring stop measure the start alike: delta equal to
+    # the start distance escapes without a step, and one ulp more runs walks
+    # that all start inside the ring.
+    y0, x0 = np.array([1.0, 0.0]), np.array([0.93, 0.01])
+    d = float(np.linalg.norm((x0 - y0)[None, :], axis=1)[0])
+    assert estimate_escape_probability(DISK, y0, d, x0, 0.02, 200, 4) == (1.0, 0.0)
+    p, _ = estimate_escape_probability(DISK, y0, np.nextafter(d, 1.0), x0, 0.02, 200, 4)
+    assert 0.0 < p < 1.0
 
 
 @pytest.mark.parametrize("n_walks", [-3, 0, 2.5])
 def test_closed_form_shortcuts_validate_walks(n_walks):
-    # The walk count is refused before any shortcut answers without walks.
+    # The walk and thread counts are refused before any shortcut answers
+    # without walks; each bad walk count is a bad thread count too.
     with pytest.raises(ValueError, match="n_walks"):
         estimate_regularity(DISK, (1.0, 0.0), 5.0, 0.02, 0.1, 2, n_walks, 0)
     with pytest.raises(ValueError, match="n_walks"):
         estimate_escape_probability(DISK, (1.0, 0.0), 0.05, (0.9, 0.0), 0.02, n_walks, 0)
     with pytest.raises(ValueError, match="n_walks"):
         estimate_escape_probability(DISK, (1.0, 0.0), 5.0, (0.9, 0.0), 0.02, n_walks, 0)
+    threads = n_walks
+    with pytest.raises(ValueError, match="threads"):
+        estimate_regularity(DISK, (1.0, 0.0), 5.0, 0.02, 0.1, 2, 10, 0, threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        estimate_escape_probability(DISK, (1.0, 0.0), 0.05, (0.9, 0.0), 0.02, 10, 0,
+                                    threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        estimate_escape_probability(DISK, (1.0, 0.0), 5.0, (0.9, 0.0), 0.02, 10, 0,
+                                    threads=threads)
 
 
 def test_escape_monotone_in_delta():
@@ -279,13 +297,17 @@ def test_escape_validates_walks_and_threads(n_walks, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_escape_equals_one_run_walks_batch(threads):
-    # more walks than one chunk, so threads=2 splits them
+    # A walk escapes when the max over its whole unringed path of |x - y0|
+    # reaches delta; more walks than one chunk, so threads=2 splits them.
     n, y0, delta = _CHUNK + 500, np.array([1.0, 0.0]), 0.3
     got = estimate_escape_probability(DISK, y0, delta, (0.9, 0.0), 0.2, n, 9,
                                       threads=threads)
-    batch = run_walks(DISK, (0.9, 0.0), WalkConfig(0.2), 9, range(n), excursion_center=y0)
+    batch, paths = run_walks(DISK, (0.9, 0.0), WalkConfig(0.2), 9, range(n),
+                             record_trace=True)
     ok = ~batch.truncated
-    p = float((batch.max_excursion[ok] >= delta).mean())
+    escaped = np.array([np.linalg.norm(tr - y0, axis=1).max() >= delta for tr in paths])
+    p = float(escaped[ok].mean())
+    assert 0.0 < p < 1.0
     assert got == (p, math.sqrt(p * (1.0 - p) / int(ok.sum())))
 
 

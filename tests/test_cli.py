@@ -271,7 +271,8 @@ def test_integral_floats_are_ints():
 @pytest.mark.parametrize("key, value", [
     ("svg", "yes"), ("svg", 0), ("svg", "False"), ("walks", 2.7), ("walks", "2.5"),
     ("walks", float("inf")), ("walks", float("nan")), ("grid", [4.5, 2]), ("x0", 5),
-    ("y0", {"1": 0}), ("eps", "fast"),
+    ("y0", {"1": 0}), ("eps", "fast"), ("walks", True), ("sigmas", True),
+    ("x0", [True, False]), ("grid", [True, 2]),
 ])
 def test_config_value_is_read_exactly_or_refused(key, value):
     with pytest.raises(ValueError, match=key):

@@ -132,13 +132,13 @@ def test_exit_sample_matches_run_walks_streams():
     direct = run_walks(DISK, (0.2, 0.2), CFG, 9, range(40, 340))
     np.testing.assert_array_equal(batch.exit_points, direct.exit_points)
     np.testing.assert_array_equal(batch.steps, direct.steps)
-    # one start per walk, with the excursion measured from another point
+    # one start per walk, with a ring around another point
     starts = np.column_stack([np.linspace(-0.5, 0.5, 300), np.zeros(300)])
-    batch = exit_sample(DISK, starts, CFG, 9, 300, stream_base=40,
-                        excursion_center=(1.0, 0.0), threads=2)
-    direct = run_walks(DISK, starts, CFG, 9, range(40, 340), excursion_center=(1.0, 0.0))
+    ring = ((1.0, 0.0), 1.2)
+    batch = exit_sample(DISK, starts, CFG, 9, 300, stream_base=40, ring=ring, threads=2)
+    direct = run_walks(DISK, starts, CFG, 9, range(40, 340), ring=ring)
     np.testing.assert_array_equal(batch.exit_points, direct.exit_points)
-    np.testing.assert_array_equal(batch.max_excursion, direct.max_excursion)
+    np.testing.assert_array_equal(batch.steps, direct.steps)
     with pytest.raises(ValueError):
         exit_sample(DISK, starts, CFG, 9, 299)
 
@@ -200,6 +200,16 @@ def test_field_needs_two_walks_before_any_point_runs():
             estimate_field(DISK, Constant(1.0), pts, CFG, 3, 1)
 
 
+def test_walk_and_thread_counts_are_not_booleans():
+    # True == 1, but a flag is not a count.
+    with pytest.raises(ValueError, match="n_walks"):
+        exit_sample(DISK, (0.0, 0.0), CFG, 0, True)
+    with pytest.raises(ValueError, match="threads"):
+        exit_sample(DISK, (0.0, 0.0), CFG, 0, 3, threads=True)
+    with pytest.raises(ValueError, match="threads"):
+        estimate_value(DISK, Constant(1.0), (0.0, 0.0), CFG, 0, 3, threads=True)
+
+
 def test_spans_fold_chunks_in_order_at_any_thread_count(monkeypatch):
     # Spans of two 40-walk chunks, 25 lanes per kernel call; 257 walks leave
     # a partial last span and a partial last chunk.
@@ -211,12 +221,11 @@ def test_spans_fold_chunks_in_order_at_any_thread_count(monkeypatch):
     samples = [exit_sample(DISK, x0, CFG, 18, n, stream_base=11, threads=t) for t in (1, 2, 3)]
     assert estimates[0] == estimates[1] == estimates[2]
     for batch in samples[1:]:
-        for field in ("exit_points", "steps", "truncated", "max_excursion"):
+        for field in ("exit_points", "steps", "truncated"):
             assert getattr(batch, field).tobytes() == getattr(samples[0], field).tobytes()
     # the same walks as one kernel call, with statistics folded per chunk
     whole = run_walks(DISK, x0, CFG, 18, np.arange(11, 11 + n))
     assert whole.exit_points.tobytes() == samples[0].exit_points.tobytes()
-    assert whole.max_excursion.tobytes() == samples[0].max_excursion.tobytes()
     values = data.eval(whole.exit_points)
 
     def fold(size):

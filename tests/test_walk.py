@@ -105,7 +105,6 @@ def test_batch_matches_single_walks():
         single = run_walks(DISK, (0.3, -0.2), cfg, 99, [k])
         assert np.array_equal(batch.exit_points[row], single.exit_points[0])
         assert batch.steps[row] == single.steps[0]
-        assert batch.max_excursion[row] == single.max_excursion[0]
 
 
 def test_trace_is_the_walk():
@@ -122,9 +121,6 @@ def test_trace_is_the_walk():
     # exit point is the projection of the final interior position
     stop = cfg.resolved_stop(DISK)
     assert np.linalg.norm(batch.exit_points[0] - tr[-1]) <= stop + 1e-12
-    assert batch.max_excursion[0] == pytest.approx(
-        np.max(np.linalg.norm(tr - np.array([0.3, 0.0]), axis=1)), abs=1e-15
-    )
 
 
 def test_sphere_walk_steps_are_half_distance():
@@ -153,19 +149,6 @@ def test_truncation_flags():
     assert single.truncated[0] and single.steps[0] == 3
 
 
-def test_excursion_center_shift():
-    cfg = WalkConfig(0.2)
-    x0 = (0.3, 0.0)
-    plain = run_walks(DISK, x0, cfg, 11, range(4))
-    shifted = run_walks(DISK, x0, cfg, 11, range(4), excursion_center=(1.0, 0.0))
-    assert np.array_equal(plain.exit_points, shifted.exit_points)
-    assert not np.array_equal(plain.max_excursion, shifted.max_excursion)
-    # excursion from the start includes step 0, so it is at least 0
-    assert np.all(plain.max_excursion >= 0.0)
-    # from (1,0) the start point alone is already 0.7 away
-    assert np.all(shifted.max_excursion >= 0.7)
-
-
 def test_interior_start_required():
     with pytest.raises(ValueError):
         run_walks(DISK, (2.0, 0.0), WalkConfig(0.2), 0, [0])
@@ -175,17 +158,15 @@ def test_interior_start_required():
 
 def test_stopped_walks_ring():
     # A ring stop ends each walk on its first step out of B(x0, r).  Its
-    # final position is returned unprojected, in [r, r + eps) from x0, and
-    # is where its excursion peaks.
+    # final position is returned unprojected, in [r, r + eps) from x0.
     x0 = (0.0, 0.0)
     r, eps = 0.3, 0.05
-    batch = run_walks(DISK, x0, WalkConfig(eps), 17, range(64), stop_radius=r)
+    batch = run_walks(DISK, x0, WalkConfig(eps), 17, range(64), ring=(x0, r))
     d = np.linalg.norm(batch.exit_points, axis=1)
     assert np.all(d >= r)
     assert np.all(d < r + eps)
-    assert np.array_equal(d, batch.max_excursion)
     assert np.all(batch.steps >= 1) and not np.any(batch.truncated)
-    single = run_walks(DISK, x0, WalkConfig(eps), 17, [3], stop_radius=r)
+    single = run_walks(DISK, x0, WalkConfig(eps), 17, [3], ring=(x0, r))
     assert np.array_equal(single.exit_points[0], batch.exit_points[3])
     assert single.steps[0] == batch.steps[3]
 
@@ -196,18 +177,38 @@ def test_stopped_walks_need_room():
         exit_measure_stats(DISK, (0.6, 0.0), 0.3, 0.05, 4, 0)
     # a ring-stopped walk that hits the cap is marked truncated, not stopped
     batch = run_walks(DISK, (0.0, 0.0), WalkConfig(0.05, max_steps=2), 0, range(4),
-                      stop_radius=0.3)
+                      ring=((0.0, 0.0), 0.3))
     assert np.all(batch.truncated) and np.all(batch.steps == 2)
-    assert np.all(batch.max_excursion < 0.3)
+    assert np.all(np.linalg.norm(batch.exit_points, axis=1) < 0.3)
 
 
-def test_stopped_walk_honours_the_stream_offset():
-    # A ring-stopped walk reads its own stream whatever its place in a batch.
-    x0, cfg, r = (0.0, 0.0), WalkConfig(0.05), 0.3
-    alone = run_walks(DISK, x0, cfg, 17, [3], stop_radius=r)
-    batch = run_walks(DISK, x0, cfg, 17, range(8), stop_radius=r)
-    assert np.array_equal(alone.exit_points[0], batch.exit_points[3])
-    assert alone.steps[0] == batch.steps[3]
+def test_ring_centered_off_the_start_cuts_the_unringed_path():
+    # A ring around another point ends each walk at the first position of
+    # its unringed path at distance >= r from the center, or at the
+    # boundary stop if that comes first; either way the position is
+    # returned unprojected, and the walk's steps up to it are unchanged.
+    x0, center, r = (0.3, 0.0), np.array([0.5, 0.0]), 0.6
+    cfg = WalkConfig(0.1)
+    ringed, ringed_traces = run_walks(DISK, x0, cfg, 23, range(40), ring=(center, r),
+                                      record_trace=True)
+    _, traces = run_walks(DISK, x0, cfg, 23, range(40), record_trace=True)
+    outside = 0
+    for k, tr in enumerate(traces):
+        far = np.flatnonzero(np.linalg.norm(tr - center, axis=1) >= r)
+        stop = int(far[0]) if far.size else tr.shape[0] - 1
+        outside += bool(far.size)
+        assert ringed.steps[k] == stop and not ringed.truncated[k]
+        assert np.array_equal(ringed_traces[k], tr[:stop + 1])
+        assert np.array_equal(ringed.exit_points[k], tr[stop])
+    # the ring pokes out of the disk, so some walks meet it and some the boundary
+    assert 0 < outside < len(traces)
+    # a start at distance exactly r is on the ring already and takes no step
+    on_ring = float(np.linalg.norm(np.subtract(x0, center)[None, :], axis=1)[0])
+    batch = run_walks(DISK, x0, cfg, 23, range(3), ring=(center, on_ring))
+    assert np.all(batch.steps == 0) and np.all(batch.exit_points == x0)
+    for bad in [(center, float("nan")), (center, 0.0), ([center, center], r)]:
+        with pytest.raises(ValueError, match="ring"):
+            run_walks(DISK, x0, cfg, 23, range(3), ring=bad)
 
 
 def test_walks_work_in_a_box():
@@ -231,7 +232,6 @@ def _assert_matches_walks_alone(domain, starts, cfg, seed, idx):
         assert np.array_equal(batch.exit_points[row], alone.exit_points[0])
         assert batch.steps[row] == alone.steps[0]
         assert batch.truncated[row] == alone.truncated[0]
-        assert batch.max_excursion[row] == alone.max_excursion[0]
     return batch
 
 
@@ -265,12 +265,7 @@ def test_multi_start_batch_matches_walks_run_alone(shape, dim, kind, m, seed, ca
     cfg = WalkConfig(0.2, kind=kind, max_steps=cap)
     idx = np.arange(m) * 3 + seed % 1000
     starts = _starts_inside(domain, m, seed)
-    batch = _assert_matches_walks_alone(domain, starts, cfg, seed, idx)
-    # each walk measures its excursion from its own start; an exit point is
-    # within the stop tolerance of the walk's last position
-    ok = ~batch.truncated
-    spread = np.linalg.norm(batch.exit_points[ok] - starts[ok], axis=1)
-    assert np.all(batch.max_excursion[ok] >= spread - cfg.resolved_stop(domain) - 1e-12)
+    _assert_matches_walks_alone(domain, starts, cfg, seed, idx)
 
 
 def test_batch_wider_than_prefetch_rows_matches_walks_alone(monkeypatch):
@@ -326,27 +321,12 @@ def test_per_walk_starts_are_checked():
         run_walks(DISK, [[0.0, 0.0], [1.5, 0.0]], WalkConfig(0.2), 0, range(2))
 
 
-def test_shared_start_excursion_is_the_start_distance():
-    # A walk that stops at step 0 reports the 1-D norm |x0 - center|, the
-    # start_distance estimate_escape_probability compares delta with; prefer
-    # a center where the row-wise norm of the same vector rounds differently.
-    x0 = np.array([1.0 - 1e-4, 0.0])
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        center = x0 - rng.uniform(-0.5, 0.5, 2)
-        d = x0 - center
-        if np.linalg.norm(d) != np.linalg.norm(d[None, :], axis=1)[0]:
-            break
-    batch = run_walks(DISK, x0, WalkConfig(0.2), 0, range(3), excursion_center=center)
-    assert np.all(batch.steps == 0)
-    assert np.all(batch.max_excursion == float(np.linalg.norm(x0 - center)))
-
-
 @pytest.mark.parametrize("case", ["exits", "stopped_at_start", "capped", "ringed"])
 def test_exits_are_projected_in_one_call(monkeypatch, case):
     # One _project call over the final positions of all m walks, whether
     # walks exit over many iterations, all stop at t = 0, or hit the cap;
-    # none when a ring stop returns the final positions themselves.
+    # none when a ring stop returns the final positions themselves.  The
+    # starts lie within 0.9 of the center, inside the ring of radius 0.95.
     m = 12
     cfg = WalkConfig(0.2, max_steps=4 if case == "capped" else 10_000_000)
     if case == "stopped_at_start":
@@ -364,13 +344,13 @@ def test_exits_are_projected_in_one_call(monkeypatch, case):
         return project(pts)
 
     monkeypatch.setattr(domain, "_project", spy)
-    stop_radius = 0.1 if case == "ringed" else None
-    batch, traces = run_walks(domain, starts, cfg, 3, range(m), stop_radius=stop_radius,
-                              record_trace=True)
+    ring = ((0.0, 0.0), 0.95) if case == "ringed" else None
+    batch, traces = run_walks(domain, starts, cfg, 3, range(m), ring=ring, record_trace=True)
     if case == "ringed":
         assert calls == []
         assert np.array_equal(batch.exit_points, np.array([tr[-1] for tr in traces]))
-        assert np.all(batch.max_excursion >= stop_radius) and np.all(batch.steps >= 1)
+        assert np.all(np.linalg.norm(batch.exit_points, axis=1) >= 0.95)
+        assert np.all(batch.steps >= 1)
         return
     assert len(calls) == 1
     assert np.array_equal(calls[0], np.array([tr[-1] for tr in traces]))
@@ -403,18 +383,17 @@ def test_lane_refill_matches_walks_run_alone(key, kind, m, seed, lanes, prefetch
     idx = np.arange(m) * 5 + seed % 997
     starts = _starts_inside(domain, m, seed)
     x0 = starts[0] if shared else starts
-    center = domain.bounding_box()[0] if centered else None
+    center = np.mean(domain.bounding_box(), axis=0) if centered else starts[0]
+    ring = None if stop_radius is None else (center, stop_radius)
     with mock.patch.object(walk, "_LANES", lanes), \
             mock.patch.object(walk, "_PREFETCH_ROWS", prefetch):
-        batch = run_walks(domain, x0, cfg, seed, idx, excursion_center=center,
-                          stop_radius=stop_radius)
+        batch = run_walks(domain, x0, cfg, seed, idx, ring=ring)
     for row in range(m):
         alone = run_walks(domain, x0 if shared else starts[row:row + 1], cfg, seed,
-                          [idx[row]], excursion_center=center, stop_radius=stop_radius)
+                          [idx[row]], ring=ring)
         assert np.array_equal(batch.exit_points[row], alone.exit_points[0])
         assert batch.steps[row] == alone.steps[0]
         assert batch.truncated[row] == alone.truncated[0]
-        assert batch.max_excursion[row] == alone.max_excursion[0]
 
 
 def test_late_walk_is_truncated_at_its_own_cap(monkeypatch):
