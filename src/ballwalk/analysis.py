@@ -27,13 +27,11 @@ from .estimator import (
     AUX_STREAM_BASE,
     BoundaryData,
     DistanceTo,
-    _check_n_walks,
-    _check_threads,
     _require_sane_truncation,
     estimate_field,
     exit_sample,
 )
-from .geometry import Domain, as_point
+from .geometry import Domain, as_point, _count
 from .oracle import radial_profile
 from .stochastic import RngStream, sample_unit_ball
 from .walk import WalkConfig
@@ -146,9 +144,8 @@ def mean_value_residual(
     identical float.
     """
     x = _domain_point(domain, x)
-    if int(n_outer) != n_outer or n_outer < 2:
-        raise ValueError(f"n_outer must be an integer >= 2, got {n_outer!r}")
-    n_outer = int(n_outer)
+    n_outer = _count(n_outer, "n_outer", 2)
+    n_inner = _count(n_inner, "n_inner", 2)
     radius = min(config.epsilon, domain.distance_to_boundary(x))
     aux = RngStream(master_seed, AUX_STREAM_BASE)
     offsets = sample_unit_ball(aux, domain.dim, n_outer)
@@ -190,9 +187,7 @@ def averaging_residual(
     epsilon = float(epsilon)
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if int(n_samples) != n_samples or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    n_samples = int(n_samples)
+    n_samples = _count(n_samples, "n_samples", 2)
     aux = RngStream(master_seed, AUX_STREAM_BASE)
     w = sample_unit_ball(aux, n_dim, n_samples)
     plus = np.asarray(u.eval(x + epsilon * w), dtype=np.float64)
@@ -222,9 +217,7 @@ def exit_measure_stats(
     (0, 1), as for every walk, and a walk that hits the step cap raises.
     """
     x0 = _domain_point(domain, x0)
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    n = int(n)
+    n = _count(n, "n", 2)
     r = float(r)
     if not 0.0 < epsilon < r:
         raise ValueError(f"need 0 < epsilon < r, got epsilon={epsilon}, r={r}")
@@ -291,11 +284,9 @@ def estimate_regularity(
     delta_hat = float(delta_hat)
     if not 0.0 < delta_hat < delta:
         raise ValueError(f"need 0 < delta_hat < delta, got {delta_hat}, {delta}")
-    if int(probe_count) != probe_count or probe_count < 1:
-        raise ValueError(f"probe_count must be a positive integer, got {probe_count!r}")
-    probe_count = int(probe_count)
-    n_walks = _check_n_walks(n_walks)
-    threads = _check_threads(threads)
+    probe_count = _count(probe_count, "probe_count")
+    n_walks = _count(n_walks, "n_walks")
+    threads = _count(threads, "threads")
     scale = _boundary_scale(domain)
     if abs(domain.signed_distance(y0)) > 1e-9 * scale:
         raise ValueError("y0 must lie on the domain boundary")
@@ -364,8 +355,8 @@ def estimate_escape_probability(
     delta = float(delta)
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    n_walks = _check_n_walks(n_walks)
-    threads = _check_threads(threads)
+    n_walks = _count(n_walks, "n_walks")
+    threads = _count(threads, "threads")
     # The row-wise norm of the ring stop's test at iteration 0, bit for bit.
     start_distance = float(np.linalg.norm((x0 - y0)[None, :], axis=1)[0])
     if start_distance >= delta:
@@ -393,12 +384,11 @@ def cone_bound_theta0(n_dim: int, big_r: float) -> float:
     Built from the decreasing harmonic radial profile v:
     theta0 = (v(R) - v(2 + R)) / (v(R) - v(3 + R)), always in (0, 1).
     """
-    if int(n_dim) != n_dim or n_dim < 1:
-        raise ValueError(f"n_dim must be a positive integer, got {n_dim!r}")
+    n_dim = _count(n_dim, "n_dim")
     big_r = float(big_r)
     if not big_r > 0.0:
         raise ValueError(f"R must be positive, got {big_r}")
-    v = radial_profile(np.array([big_r, 2.0 + big_r, 3.0 + big_r]), int(n_dim))
+    v = radial_profile(np.array([big_r, 2.0 + big_r, 3.0 + big_r]), n_dim)
     theta0 = (v[0] - v[1]) / (v[0] - v[2])
     return float(theta0)
 
@@ -416,9 +406,7 @@ def martingale_check(
     so the statistic is approximately the max of N half-normal draws.
     """
     x0 = _domain_point(domain, x0)
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    n = int(n)
+    n = _count(n, "n", 2)
     radius = min(float(epsilon), domain.distance_to_boundary(x0))
     if not radius > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -469,6 +457,7 @@ def irregularity_witness(
     walks on streams [k * n_walks, (k + 1) * n_walks).
     """
     y0 = _domain_point(domain, y0)
+    n_walks = _count(n_walks, "n_walks", 2)
     eps_list = [float(e) for e in np.atleast_1d(np.asarray(epsilons, dtype=np.float64))]
     dist_list = [float(d) for d in np.atleast_1d(np.asarray(start_distances, dtype=np.float64))]
     if not eps_list or not dist_list:

@@ -2,7 +2,8 @@
 
 Commands: solve, field, exitdist, regularity, escape, cone, check-mvp,
 check-avg, irregularity.  Options come from flags and/or a flat JSON config
-file (flags win); unknown config keys are rejected.  Exit codes: 0 success,
+file (flags win), read by one coercer per key; unknown config keys are
+rejected.  Exit codes: 0 success,
 2 a statistical check failed its threshold, 1 operational error.  Reports
 embed the resolved semantic configuration (execution-only keys such as
 threads and output paths are excluded), so identical experiments give
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import analysis, reporting
 from .estimator import estimate_field, estimate_value, exit_sample, parse_boundary_data
-from .geometry import Domain, parse_domain
+from .geometry import Domain, _count, parse_domain
 from .oracle import PROBE_FUNCTIONS, parse_oracle
 from .walk import WalkConfig, run_walks
 
@@ -134,22 +135,21 @@ def _resolve_config(file_values: dict, flag_values: dict) -> RunConfig:
     command = merged.pop("command", None)
     if command not in COMMANDS:
         raise ValueError(f"command must be one of {', '.join(COMMANDS)}; got {command!r}")
+    # (label, key, value): the label names the value's source in errors.
+    items = [(key, key, value) for key, value in merged.items() if value is not None]
+    env_seed = os.environ.get("BALLWALK_SEED")
+    if merged.get("seed") is None and env_seed:
+        items.append(("BALLWALK_SEED", "seed", env_seed))
     values: dict = {"command": command}
-    for key, value in merged.items():
-        if value is None:
-            continue
+    for label, key, value in items:
         try:
             values[key] = _COERCERS[key](value)
         except (TypeError, ValueError, OverflowError) as e:
-            raise ValueError(f"{key}={value!r}: {e}") from None
-    if "seed" not in values:
-        env = os.environ.get("BALLWALK_SEED")
-        values["seed"] = int(env) if env else 0
+            raise ValueError(f"{label}={value!r}: {e}") from None
     config = RunConfig(**values)
     if config.format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {config.format!r}")
-    if config.threads < 1:
-        raise ValueError("threads must be a positive integer")
+    _count(config.threads, "threads")
     return config
 
 
@@ -169,18 +169,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat JSON config file; flags override it")
         p.add_argument("--domain", help="domain expression, e.g. ball(0,0;1)")
         p.add_argument("--data", help="boundary data, e.g. coordinate(1) or quad(1,-1)")
-        p.add_argument("--eps", type=float, help="step radius, in (0,1)")
-        p.add_argument("--stop-tol", dest="stop_tol", type=float,
+        p.add_argument("--eps", help="step radius, in (0,1)")
+        p.add_argument("--stop-tol", dest="stop_tol",
                        help="termination distance (default 1e-4 * diameter)")
-        p.add_argument("--max-steps", dest="max_steps", type=int)
-        p.add_argument("--walks", type=int, help="walks per estimate")
-        p.add_argument("--seed", type=int, help="master seed (env BALLWALK_SEED as fallback)")
-        p.add_argument("--threads", type=int)
+        p.add_argument("--max-steps", dest="max_steps")
+        p.add_argument("--walks", help="walks per estimate")
+        p.add_argument("--seed", help="master seed (env BALLWALK_SEED as fallback)")
+        p.add_argument("--threads")
         p.add_argument("--out", help="report file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--format", help="csv or json (default json)")
         p.add_argument("--x0", help="point, e.g. 0.3,0.4")
         p.add_argument("--y0", help="boundary point, e.g. 1,0")
-        p.add_argument("--sigmas", type=float, help="threshold in standard errors (default 4)")
+        p.add_argument("--sigmas", help="threshold in standard errors (default 4)")
         if name == "solve":
             p.add_argument("--trace", help="write the first walk's trajectory CSV here")
         if name == "field":
@@ -188,25 +188,24 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--svg", action="store_true", default=None,
                            help="also write a heatmap next to --out (2-D only)")
         if name in ("regularity", "escape"):
-            p.add_argument("--delta", type=float)
+            p.add_argument("--delta")
         if name == "regularity":
-            p.add_argument("--delta-hat", dest="delta_hat", type=float)
-            p.add_argument("--probes", type=int)
-            p.add_argument("--threshold", type=float,
+            p.add_argument("--delta-hat", dest="delta_hat")
+            p.add_argument("--probes")
+            p.add_argument("--threshold",
                            help="fail (exit 2) when min probe probability is below this")
         if name == "escape":
-            p.add_argument("--R", type=float,
-                           help="exterior-cone ratio; enables the theta0 bound check")
+            p.add_argument("--R", help="exterior-cone ratio; enables the theta0 bound check")
         if name == "cone":
-            p.add_argument("--dim", type=int)
-            p.add_argument("--R", type=float)
+            p.add_argument("--dim")
+            p.add_argument("--R")
         if name == "check-mvp":
-            p.add_argument("--n-outer", dest="n_outer", type=int)
-            p.add_argument("--n-inner", dest="n_inner", type=int)
+            p.add_argument("--n-outer", dest="n_outer")
+            p.add_argument("--n-inner", dest="n_inner")
         if name == "check-avg":
             p.add_argument("--u", help="test function: squared_norm, first_coord_quartic, "
                                        "or an oracle expression")
-            p.add_argument("--n-samples", dest="n_samples", type=int)
+            p.add_argument("--n-samples", dest="n_samples")
         if name == "irregularity":
             p.add_argument("--distances", help="start distances from y0, e.g. 0.01,0.001")
     return parser
@@ -300,8 +299,8 @@ def _run_solve(config: RunConfig) -> _Report:
 def _grid_points(domain: Domain, shape: tuple[int, ...]) -> np.ndarray:
     if len(shape) != domain.dim:
         raise ValueError(f"--grid needs {domain.dim} cell counts for this domain")
-    if any(k < 1 for k in shape):
-        raise ValueError("grid cell counts must be positive")
+    for k in shape:
+        _count(k, "grid cell count")
     lo, hi = domain.bounding_box()
     axes = [lo[i] + (np.arange(shape[i]) + 0.5) * (hi[i] - lo[i]) / shape[i]
             for i in range(len(shape))]

@@ -22,7 +22,7 @@ import operator
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Domain, as_point, _prep
+from .geometry import Domain, as_point, _count, _prep
 from .oracle import HarmonicOracle, parse_oracle
 from .walk import WalkBatch, WalkConfig, run_walks
 
@@ -55,6 +55,8 @@ class BoundaryData(abc.ABC):
 class Constant(BoundaryData):
     def __init__(self, value: float):
         self.value = float(value)
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant boundary value must be finite, got {value!r}")
 
     def __repr__(self) -> str:
         return f"Constant({self.value})"
@@ -70,9 +72,7 @@ class Coordinate(BoundaryData):
     """F(x) = x_k with 1-based index k."""
 
     def __init__(self, index: int):
-        if int(index) != index or index < 1:
-            raise ValueError(f"coordinate index is 1-based, got {index!r}")
-        self.index = int(index)
+        self.index = _count(index, "coordinate index")
 
     def __repr__(self) -> str:
         return f"Coordinate({self.index})"
@@ -306,8 +306,8 @@ def exit_sample(
     (n_walks, n); ``ring=(center, r)`` is passed to run_walks, which then
     stops each walk at distance r from center and leaves it unprojected.
     """
-    n_walks = _check_n_walks(n_walks)
-    threads = _check_threads(threads)
+    n_walks = _count(n_walks, "n_walks")
+    threads = _count(threads, "threads")
     _check_streams(stream_base, n_walks)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 2 and x0.shape[0] != n_walks:
@@ -338,8 +338,8 @@ def estimate_value(
     threads: int = 1,
 ) -> Estimate:
     """Estimate the solution at x0 as the mean of F over simulated exits."""
-    n_walks = _check_n_walks(n_walks, minimum=2)
-    threads = _check_threads(threads)
+    n_walks = _count(n_walks, "n_walks", 2)
+    threads = _count(threads, "threads")
     _check_streams(stream_base, n_walks)
 
     def worker(lo: int, hi: int) -> list[tuple[tuple[int, float, float], int]]:
@@ -381,8 +381,8 @@ def estimate_field(
         raise ValueError("points must be a (m, n) array")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    n_walks = _check_n_walks(n_walks, minimum=2)
-    threads = _check_threads(threads)
+    n_walks = _count(n_walks, "n_walks", 2)
+    threads = _count(threads, "threads")
     m = pts.shape[0]
     _check_streams(stream_base, m * n_walks)
 
@@ -441,14 +441,3 @@ def tietze_extend(anchor_points, anchor_values, x) -> float | _Array:
         out[on_anchor] = vals[d[on_anchor].argmin(axis=1)]
     return float(out[0]) if single else out
 
-
-def _check_n_walks(n_walks, minimum: int = 1) -> int:
-    if isinstance(n_walks, bool) or int(n_walks) != n_walks or n_walks < minimum:
-        raise ValueError(f"n_walks must be an integer >= {minimum}, got {n_walks!r}")
-    return int(n_walks)
-
-
-def _check_threads(threads) -> int:
-    if isinstance(threads, bool) or int(threads) != threads or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
-    return int(threads)

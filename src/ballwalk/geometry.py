@@ -43,6 +43,22 @@ def as_point(coords) -> _Array:
     return a
 
 
+def _count(value, name: str, minimum: int = 1, maximum: int | None = None) -> int:
+    """Validate a count (walks, threads, steps, samples, a dimension); returns
+    it as an int.  Integral ints, floats and numpy integers are accepted;
+    booleans, fractions, NaN, infinities and non-numbers are refused, as is
+    any value outside [minimum, maximum]."""
+    n = None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        n = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        n = int(value)
+    if n is None or n < minimum or (maximum is not None and n > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return n
+
+
 def _prep(x, dim: int) -> tuple[_Array, bool]:
     """Coerce to shape (m, dim); returns (points, was_single_point)."""
     a = np.asarray(x, dtype=np.float64)

@@ -49,6 +49,8 @@ class Linear(HarmonicOracle):
     def __init__(self, a, b: float = 0.0):
         self.a = as_point(a)
         self.b = float(b)
+        if not math.isfinite(self.b):
+            raise ValueError(f"offset b must be finite, got {b!r}")
         self.dim = self.a.shape[0]
 
     def __repr__(self) -> str:

@@ -98,26 +98,19 @@ def json_report(payload: dict) -> str:
     return json.dumps(to_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _parse_color(color: str) -> tuple[int, int, int]:
-    c = color.lstrip("#")
-    if len(c) != 6:
-        raise ValueError(f"colors must be #rrggbb, got {color!r}")
-    return int(c[0:2], 16), int(c[2:4], 16), int(c[4:6], 16)
+# Heatmap cell edge in pixels, and the RGB ends of the value ramp.
+CELL_SIZE = 24
+_LOW_RGB = (0x1D, 0x3A, 0x6E)
+_HIGH_RGB = (0xF3, 0xC5, 0x48)
+_MISSING_COLOR = "#c8c8c8"
 
 
-def svg_heatmap(
-    values,
-    *,
-    cell_size: int = 24,
-    low_color: str = "#1d3a6e",
-    high_color: str = "#f3c548",
-    missing_color: str = "#c8c8c8",
-) -> str:
+def svg_heatmap(values) -> str:
     """Render a (rows, cols) value grid as an SVG rect grid.
 
     Cell colors are the affine map of the values onto the low->high color
-    ramp; NaN cells use the missing color.  Row 0 is drawn at the bottom so
-    the picture reads like plot axes, not matrix indices.
+    ramp; NaN cells are gray.  Row 0 is drawn at the bottom so the picture
+    reads like plot axes, not matrix indices.
     """
     grid = np.asarray(values, dtype=np.float64)
     if grid.ndim != 2 or grid.size == 0:
@@ -130,27 +123,25 @@ def svg_heatmap(
     else:
         vmin = vmax = 0.0
     span = vmax - vmin
-    lo = _parse_color(low_color)
-    hi = _parse_color(high_color)
 
     def ramp(v: float) -> str:
         t = 0.5 if span == 0.0 else (v - vmin) / span
-        rgb = tuple(round(a + t * (b - a)) for a, b in zip(lo, hi))
+        rgb = tuple(round(a + t * (b - a)) for a, b in zip(_LOW_RGB, _HIGH_RGB))
         return "#{:02x}{:02x}{:02x}".format(*rgb)
 
-    width = cols * cell_size
-    height = rows * cell_size
+    width = cols * CELL_SIZE
+    height = rows * CELL_SIZE
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
     for i in range(rows):
-        y = (rows - 1 - i) * cell_size
+        y = (rows - 1 - i) * CELL_SIZE
         for j in range(cols):
             v = grid[i, j]
-            fill = ramp(float(v)) if np.isfinite(v) else missing_color
+            fill = ramp(float(v)) if np.isfinite(v) else _MISSING_COLOR
             parts.append(
-                f'<rect x="{j * cell_size}" y="{y}" width="{cell_size}" '
-                f'height="{cell_size}" fill="{fill}"/>')
+                f'<rect x="{j * CELL_SIZE}" y="{y}" width="{CELL_SIZE}" '
+                f'height="{CELL_SIZE}" fill="{fill}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

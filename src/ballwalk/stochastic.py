@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
+from .geometry import MAX_DIM, _count
+
 _Array = NDArray[np.float64]
 _U64 = NDArray[np.uint64]
 
@@ -30,11 +32,6 @@ _REDRAW_STRIDE = np.uint64(0x632BE59BD9B4E019)
 _INV_2_53 = 2.0 ** -53
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _check_dim(n_dim: int) -> None:
-    if not isinstance(n_dim, (int, np.integer)) or not 1 <= int(n_dim) <= 16:
-        raise ValueError(f"dimension must be an integer in 1..16, got {n_dim!r}")
 
 
 def _as_u64(values) -> _U64:
@@ -185,21 +182,20 @@ class RngStream:
 
     def uniforms(self, count: int) -> _Array:
         """The next ``count`` uniform [0, 1) draws, starting at this offset."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        count = _count(count, "count", 0)
         base = _stream_base(self.master_seed, self.stream_index)
         d = _as_u64(self.offset) + np.arange(count, dtype=np.uint64)
         return _to_unit(_draw_values(np.broadcast_to(base, d.shape), d))
 
     def advanced(self, count: int) -> "RngStream":
         """A copy of this stream with the draw offset moved forward by count."""
-        return replace(self, offset=self.offset + count)
+        return replace(self, offset=self.offset + _count(count, "count", 0))
 
 
 def _sample(stream: RngStream, n_dim: int, count: int | None, per: int, sampler) -> _Array:
     """``count`` samples (or one) of ``sampler``, each taking ``per`` draws,
     read from ``stream`` at its offset."""
-    m = 1 if count is None else int(count)
+    m = 1 if count is None else _count(count, "count", 0)
     base = np.broadcast_to(_stream_base(stream.master_seed, stream.stream_index), (m,))
     first = _as_u64(stream.offset) + np.arange(m, dtype=np.uint64) * np.uint64(per)
     pts = sampler(base, first, n_dim)
@@ -212,7 +208,7 @@ def sample_unit_ball(stream: RngStream, n_dim: int, count: int | None = None) ->
     Returns a single point of shape ``(n_dim,)``, or ``(count, n_dim)`` when
     ``count`` is given.  Pure: does not advance the stream.
     """
-    _check_dim(n_dim)
+    n_dim = _count(n_dim, "dimension", 1, MAX_DIM)
     return _sample(stream, n_dim, count, draws_per_ball(n_dim), _unit_ball_from_base)
 
 
@@ -221,5 +217,5 @@ def sample_unit_sphere(stream: RngStream, n_dim: int, count: int | None = None) 
 
     Same shape and purity conventions as :func:`sample_unit_ball`.
     """
-    _check_dim(n_dim)
+    n_dim = _count(n_dim, "dimension", 1, MAX_DIM)
     return _sample(stream, n_dim, count, draws_per_sphere(n_dim), _unit_sphere_from_base)

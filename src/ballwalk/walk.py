@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Domain, _prep
+from .geometry import Domain, _count, _prep
 from .stochastic import (
     _as_u64,
     _stream_base,
@@ -78,8 +78,7 @@ class WalkConfig:
         if self.stop_tolerance is not None and not 0.0 < self.stop_tolerance < self.epsilon:
             raise ValueError(
                 f"stop_tolerance must lie in (0, epsilon), got {self.stop_tolerance}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+        object.__setattr__(self, "max_steps", _count(self.max_steps, "max_steps"))
         if self.kind not in (BALL, SPHERE):
             raise ValueError(f"kind must be '{BALL}' or '{SPHERE}', got {self.kind!r}")
 

@@ -126,6 +126,28 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert cfg.seed == 5
 
 
+def test_seed_env_value_error_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("BALLWALK_SEED", "abc")
+    assert main(["solve", *DISK_ARGS, "--eps", "0.1", "--walks", "10"]) == 1
+    assert capsys.readouterr().err.startswith("error: BALLWALK_SEED='abc': ")
+
+
+@pytest.mark.parametrize("flag, value", [("--walks", "2.5"), ("--threads", "0"),
+                                         ("--eps", "fast"), ("--format", "xml")])
+def test_bad_flag_value_names_its_key(flag, value, capsys):
+    assert main(["solve", *DISK_ARGS, "--eps", "0.1", flag, value]) == 1
+    key = flag[2:]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and value in err
+
+
+@pytest.mark.parametrize("data", ["constant(nan)", "constant(inf)", "linear(1,0;nan)"])
+def test_non_finite_boundary_data_is_refused(data, capsys):
+    assert main(["solve", "--domain", "ball(0,0;1)", "--data", data, "--x0", "0.3,0.4",
+                 "--eps", "0.1", "--walks", "10"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_bad_domain_expression(capsys):
     assert main(
         ["solve", "--domain", "ball(0,0;;1)", "--data", "constant(1)",

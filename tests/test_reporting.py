@@ -17,6 +17,7 @@ from ballwalk import (
     to_jsonable,
     trace_csv,
 )
+from ballwalk.reporting import CELL_SIZE
 
 
 def test_format_value():
@@ -87,8 +88,9 @@ def test_json_report_is_stable_and_parseable():
 
 def test_svg_heatmap_grid():
     values = np.array([[0.0, 1.0], [0.5, np.nan]])
-    svg = svg_heatmap(values, cell_size=10)
+    svg = svg_heatmap(values)
     assert svg.startswith("<svg")
+    assert f'width="{2 * CELL_SIZE}" height="{2 * CELL_SIZE}"' in svg
     assert svg.count("<rect") == 4
     assert "#c8c8c8" in svg  # NaN cell uses the missing color
     assert "#1d3a6e" in svg and "#f3c548" in svg  # extremes hit both ends
@@ -96,17 +98,18 @@ def test_svg_heatmap_grid():
 
 def test_svg_heatmap_row_zero_at_bottom():
     values = np.array([[0.0], [1.0]])
-    svg = svg_heatmap(values, cell_size=10)
+    svg = svg_heatmap(values)
     rects = [chunk for chunk in svg.split("<rect")[1:]]
     # row 0 (value 0, low color) must carry the larger y coordinate
     low = next(r for r in rects if "#1d3a6e" in r)
     high = next(r for r in rects if "#f3c548" in r)
     y_of = lambda r: float(r.split('y="')[1].split('"')[0])
     assert y_of(low) > y_of(high)
+    assert y_of(low) == CELL_SIZE and y_of(high) == 0.0
 
 
 def test_svg_heatmap_constant_uses_midpoint():
-    svg = svg_heatmap(np.array([[2.0, 2.0]]), cell_size=10)
+    svg = svg_heatmap(np.array([[2.0, 2.0]]))
     assert svg.count("<rect") == 2
     # a flat field renders as the 50% blend, not the low end
     assert "#1d3a6e" not in svg and "#f3c548" not in svg
