@@ -31,7 +31,7 @@ from .estimator import (
     estimate_field,
     exit_sample,
 )
-from .geometry import Domain, as_point, _count
+from .geometry import MAX_DIM, Domain, as_point, _count
 from .oracle import radial_profile
 from .stochastic import RngStream, sample_unit_ball
 from .walk import WalkConfig
@@ -382,15 +382,19 @@ def cone_bound_theta0(n_dim: int, big_r: float) -> float:
     """Escape-probability bound from an exterior cone with shape ratio R.
 
     Built from the decreasing harmonic radial profile v:
-    theta0 = (v(R) - v(2 + R)) / (v(R) - v(3 + R)), always in (0, 1).
+    theta0 = (v(R) - v(2 + R)) / (v(R) - v(3 + R)), in (0, 1) in exact arithmetic.
+    An R for which the float64 quotient is not finite is refused.
     """
-    n_dim = _count(n_dim, "n_dim")
+    n_dim = _count(n_dim, "n_dim", 1, MAX_DIM)
     big_r = float(big_r)
-    if not big_r > 0.0:
-        raise ValueError(f"R must be positive, got {big_r}")
-    v = radial_profile(np.array([big_r, 2.0 + big_r, 3.0 + big_r]), n_dim)
-    theta0 = (v[0] - v[1]) / (v[0] - v[2])
-    return float(theta0)
+    if not (math.isfinite(big_r) and big_r > 0.0):
+        raise ValueError(f"R must be positive and finite, got {big_r}")
+    with np.errstate(all="ignore"):
+        v = radial_profile(np.array([big_r, 2.0 + big_r, 3.0 + big_r]), n_dim)
+        theta0 = float((v[0] - v[1]) / (v[0] - v[2]))
+    if not math.isfinite(theta0):
+        raise ValueError(f"R = {big_r} is too extreme for a finite bound in {n_dim} dimensions")
+    return theta0
 
 
 def martingale_check(

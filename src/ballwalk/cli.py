@@ -369,14 +369,14 @@ def _run_regularity(config: RunConfig) -> _Report:
 def _run_escape(config: RunConfig) -> _Report:
     _require(config, "y0", "delta", "x0", "eps")
     domain = _domain(config)
+    bound = None if config.R is None else analysis.cone_bound_theta0(domain.dim, config.R)
     p, stderr = analysis.estimate_escape_probability(
         domain, config.y0, config.delta, config.x0, config.eps, config.walks,
         config.seed, stop_tolerance=config.stop_tol, max_steps=config.max_steps,
         threads=config.threads)
     result = {"probability": p, "stderr": stderr}
-    if config.R is None:
+    if bound is None:
         return _Report(result, ["probability", "stderr"], [[p, stderr]])
-    bound = analysis.cone_bound_theta0(domain.dim, config.R)
     check = _check("exterior_cone_escape_bound", p, stderr, bound,
                    p <= bound + config.sigmas * stderr)
     return _Report(result, ["probability", "stderr", "bound", "passed"],

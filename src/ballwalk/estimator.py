@@ -22,8 +22,8 @@ import operator
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Domain, as_point, _count, _prep
-from .oracle import HarmonicOracle, parse_oracle
+from .geometry import Domain, as_point, _count, _parse_call, _prep, _TokenCursor
+from .oracle import _ORACLE_READERS, HarmonicOracle, _oracle_from
 from .walk import WalkBatch, WalkConfig, run_walks
 
 _Array = NDArray[np.float64]
@@ -132,18 +132,7 @@ class Tabulated(BoundaryData):
     """
 
     def __init__(self, points, values):
-        pts = np.array(points, dtype=np.float64)
-        vals = np.array(values, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("tabulated data needs a (m, n) array of sample points")
-        if vals.shape != (pts.shape[0],):
-            raise ValueError("need one value per sample point")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
-            raise ValueError("tabulated samples must be finite")
-        pts.setflags(write=False)
-        vals.setflags(write=False)
-        self.points = pts
-        self.values = vals
+        self.points, self.values = _anchors(points, values)
 
     def __repr__(self) -> str:
         return f"Tabulated({self.points.shape[0]} samples, dim={self.points.shape[1]})"
@@ -152,31 +141,31 @@ class Tabulated(BoundaryData):
         return tietze_extend(self.points, self.values, points)
 
 
-def parse_boundary_data(text: str) -> BoundaryData:
-    """Parse boundary data: constant(c), coordinate(k), distance_to(p...),
-    tabulated(file.csv), or any oracle expression (wrapped as its trace)."""
-    if not isinstance(text, str):
-        raise TypeError("boundary data specification must be a string")
-    s = text.strip()
-    open_at = s.find("(")
-    if open_at <= 0 or not s.endswith(")"):
-        raise ValueError(f"malformed boundary data expression {text!r}")
-    name = s[:open_at].strip()
-    body = s[open_at + 1:-1].strip()
-    if name == "constant":
-        return Constant(float(body))
-    if name == "coordinate":
-        return Coordinate(int(body))
+def _data_from(name: str, args) -> BoundaryData:
+    """The boundary data called name, from its numeric groups or, for
+    tabulated, its path; any other name is an oracle, wrapped as its trace."""
+    if name in ("constant", "coordinate"):
+        if len(args) != 1 or len(args[0]) != 1:
+            raise ValueError(f"{name} expects one number")
+        return (Constant if name == "constant" else Coordinate)(args[0][0])
     if name == "distance_to":
-        return DistanceTo([float(v) for v in body.split(",")])
+        if len(args) != 1:
+            raise ValueError("distance_to expects distance_to(p1,...,pn)")
+        return DistanceTo(args[0])
     if name == "tabulated":
-        if not body:
+        if not args:
             raise ValueError("tabulated(...) needs a CSV path of x1,...,xn,value rows")
-        rows = np.loadtxt(body, delimiter=",", ndmin=2)
+        rows = np.loadtxt(args, delimiter=",", ndmin=2)
         if rows.shape[1] < 2:
             raise ValueError("tabulated CSV rows must be x1,...,xn,value")
         return Tabulated(rows[:, :-1], rows[:, -1])
-    return HarmonicTrace(parse_oracle(text))
+    return HarmonicTrace(_oracle_from(name, args))
+
+
+def parse_boundary_data(text: str) -> BoundaryData:
+    """Parse boundary data: constant(c), coordinate(k), distance_to(p...),
+    tabulated(file.csv), or any oracle expression (wrapped as its trace)."""
+    return _parse_call(text, _data_from, {**_ORACLE_READERS, "tabulated": _TokenCursor.path})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -419,14 +408,7 @@ def tietze_extend(anchor_points, anchor_values, x) -> float | _Array:
     minimum, matching the classical (Hausdorff) formula verbatim even though
     the constant factors out; variants of the formula move it outside.
     """
-    pts = np.array(anchor_points, dtype=np.float64)
-    vals = np.array(anchor_values, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("anchor_points must be a (m, n) array")
-    if vals.shape != (pts.shape[0],):
-        raise ValueError("need one value per anchor point")
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
-        raise ValueError("anchors must be finite")
+    pts, vals = _anchors(anchor_points, anchor_values)
     q, single = _prep(x, pts.shape[1])
     # (len(q), m) pairwise distances
     d = np.linalg.norm(q[:, None, :] - pts[None, :, :], axis=2)
@@ -441,3 +423,18 @@ def tietze_extend(anchor_points, anchor_values, x) -> float | _Array:
         out[on_anchor] = vals[d[on_anchor].argmin(axis=1)]
     return float(out[0]) if single else out
 
+
+def _anchors(points, values) -> tuple[_Array, _Array]:
+    """Anchor points (m, n) and their m values as read-only float64 copies,
+    all finite."""
+    pts = np.array(points, dtype=np.float64)
+    vals = np.array(values, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError("anchor points must be a (m, n) array")
+    if vals.shape != (pts.shape[0],):
+        raise ValueError("need one value per anchor point")
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
+        raise ValueError("anchors must be finite")
+    pts.setflags(write=False)
+    vals.setflags(write=False)
+    return pts, vals

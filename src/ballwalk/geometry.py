@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 import math
+import re
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,19 +44,21 @@ def as_point(coords) -> _Array:
     return a
 
 
-def _count(value, name: str, minimum: int = 1, maximum: int | None = None) -> int:
-    """Validate a count (walks, threads, steps, samples, a dimension); returns
-    it as an int.  Integral ints, floats and numpy integers are accepted;
-    booleans, fractions, NaN, infinities and non-numbers are refused, as is
-    any value outside [minimum, maximum]."""
+def _count(value, name: str, minimum: int | None = 1, maximum: int | None = None) -> int:
+    """Validate a count (walks, threads, steps, samples, a dimension) or, with
+    minimum None, any integer; returns it as an int.  Integral ints, floats
+    and numpy integers are accepted; booleans, fractions, NaN, infinities and
+    non-numbers are refused, as is any value outside [minimum, maximum]."""
     n = None
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         n = int(value)
     elif isinstance(value, (float, np.floating)) and float(value).is_integer():
         n = int(value)
-    if n is None or n < minimum or (maximum is not None and n > maximum):
-        bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    if (n is None or (minimum is not None and n < minimum)
+            or (maximum is not None and n > maximum)):
+        bound = ("" if minimum is None else f" >= {minimum}" if maximum is None
+                 else f" in {minimum}..{maximum}")
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return n
 
 
@@ -542,150 +545,145 @@ def cone_parameters(cone: Cone) -> float:
 
 
 # --------------------------------------------------------------------------
-# Mini-grammar: ball(0,0;1)  box(0,0;1,1)  annulus(0,0;0.5,1)
-#               punctured_ball(0,0;1)  halfspaces(1,0,1;-1,0,0)  diff(a,b)
-# Whitespace-insensitive; ';' separates centers/corners from radii.
+# One grammar for domain, oracle and boundary data expressions: name(groups)
+# with ',' between numbers and ';' between groups, as in ball(0,0;1); a file
+# path, as in tabulated(f.csv); or diff(a, b).  Whitespace is ignored.
 # --------------------------------------------------------------------------
 
 class DomainParseError(ValueError):
-    """Domain grammar error, carrying the column of the offending token."""
+    """Error in a domain, oracle or boundary data expression, with its column."""
 
     def __init__(self, message: str, column: int):
         super().__init__(f"column {column}: {message}")
         self.column = column
 
 
-_PUNCT = "(),;"
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(("punct", ch, pos))
-            pos += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            end = pos + 1
-            while end < n and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            tokens.append(("name", text[pos:end], pos))
-            pos = end
-            continue
-        if ch.isdigit() or ch in "+-.":
-            end = pos + 1
-            while end < n and (text[end].isdigit() or text[end] in ".eE"
-                               or (text[end] in "+-" and text[end - 1] in "eE")):
-                end += 1
-            tokens.append(("number", text[pos:end], pos))
-            pos = end
-            continue
-        raise DomainParseError(f"unexpected character {ch!r}", pos)
-    return tokens
+# A number (or a malformed one, whole), a name, punctuation, or else "bad".
+_TOKEN = re.compile(r"\s*(?:(?P<number>[-+]?(?:inf|nan)\b|[-+.\d][\w.]*(?:(?<=[eE])[-+][\w.]*)?)"
+                    r"|(?P<name>[^\W\d]\w*)|(?P<punct>[(),;])|(?P<bad>.|$))", re.S)
+_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)", re.ASCII)
 
 
 class _TokenCursor:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
+    """Reads names, numbers and ( ) , ; on demand, so a file path is never
+    tokenized.  inf and nan are numbers, which constructors refuse."""
+
+    def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise TypeError(f"an expression must be a string, got {type(text).__name__}")
+        self.text = text
         self.pos = 0
-        self.length = length
 
     def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        """The next (kind, value, column) token, or None at the end."""
+        m = _TOKEN.match(self.text, self.pos)
+        kind, col = m.lastgroup, m.start(m.lastgroup)
+        if kind != "bad":
+            return kind, m.group(kind), col
+        if col < len(self.text):
+            raise DomainParseError(f"unexpected character {self.text[col]!r}", col)
+        return None
 
-    def next(self, want_kind: str | None = None, want_value: str | None = None) -> tuple[str, str, int]:
+    def next(self, kind: str, value: str | None = None) -> tuple[str, str, int]:
         tok = self.peek()
         if tok is None:
-            raise DomainParseError("unexpected end of input", self.length)
-        kind, value, col = tok
-        if want_kind is not None and kind != want_kind:
-            raise DomainParseError(f"expected {want_kind}, got {value!r}", col)
-        if want_value is not None and value != want_value:
-            raise DomainParseError(f"expected {want_value!r}, got {value!r}", col)
-        self.pos += 1
+            raise DomainParseError("unexpected end of input", len(self.text))
+        if tok[0] != kind or value not in (None, tok[1]):
+            want = kind if value is None else repr(value)
+            raise DomainParseError(f"expected {want}, got {tok[1]!r}", tok[2])
+        self.pos = tok[2] + len(tok[1])
         return tok
 
     def number(self) -> float:
-        kind, value, col = self.next("number")
-        try:
-            return float(value)
-        except ValueError:
-            raise DomainParseError(f"bad number {value!r}", col) from None
+        _, value, col = self.next("number")
+        if not _NUMBER.fullmatch(value):
+            raise DomainParseError(f"bad number {value!r}", col)
+        return float(value)
+
+    def groups(self) -> list[list[float]]:
+        """Numeric groups up to and including the closing ')'."""
+        groups = [[self.number()]]
+        while (sep := self.next("punct"))[1] != ")":
+            if sep[1] == "(":
+                raise DomainParseError("expected ',', ';' or ')', got '('", sep[2])
+            if sep[1] == ";":
+                groups.append([])
+            groups[-1].append(self.number())
+        return groups
+
+    def path(self) -> str:
+        """The raw text up to the last ')', stripped; the cursor moves past it."""
+        close = self.text.rfind(")")
+        if close < self.pos:
+            raise DomainParseError("unexpected end of input", len(self.text))
+        path, self.pos = self.text[self.pos:close].strip(), close + 1
+        return path
+
+    def end(self) -> None:
+        tok = self.peek()
+        if tok is not None:
+            raise DomainParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
 
 
-def _parse_groups(cur: _TokenCursor) -> list[list[float]]:
-    """Numeric groups inside (...): numbers split by ',', groups split by ';'."""
-    groups: list[list[float]] = [[cur.number()]]
-    while True:
-        kind, value, col = cur.next("punct")
-        if value == ")":
-            return groups
-        if value == ",":
-            groups[-1].append(cur.number())
-        elif value == ";":
-            groups.append([cur.number()])
-        else:
-            raise DomainParseError(f"expected ',', ';' or ')', got {value!r}", col)
-
-
-def _parse_expr(cur: _TokenCursor) -> Domain:
-    kind, name, col = cur.next("name")
+def _call(cur: _TokenCursor, build, readers: dict):
+    """build(name, args) for name(args); readers[name], if any, reads the args
+    and ')', else groups() does.  A ValueError from build gets the name's column."""
+    _, name, col = cur.next("name")
     cur.next("punct", "(")
-    if name == "diff":
-        a = _parse_expr(cur)
-        cur.next("punct", ",")
-        b = _parse_expr(cur)
-        cur.next("punct", ")")
-        return Difference(a, b)
-    groups = _parse_groups(cur)
+    args = readers[name](cur) if name in readers else cur.groups()
     try:
-        if name == "ball":
-            _expect_groups(name, groups, col, 2, last_len=1)
-            return Ball(groups[0], groups[1][0])
-        if name == "punctured_ball":
-            _expect_groups(name, groups, col, 2, last_len=1)
-            return PuncturedBall(groups[0], groups[1][0])
-        if name == "box":
-            _expect_groups(name, groups, col, 2, last_len=len(groups[0]))
-            return Box(groups[0], groups[1])
-        if name == "annulus":
-            _expect_groups(name, groups, col, 2, last_len=2)
-            return Annulus(groups[0], groups[1][0], groups[1][1])
-        if name == "halfspaces":
-            rows = []
-            for g in groups:
-                if len(g) < 2:
-                    raise DomainParseError("each halfspace needs normal coordinates and an offset", col)
-                rows.append((g[:-1], g[-1]))
-            return HalfspaceIntersection(rows)
+        return build(name, args)
     except ValueError as exc:
-        if isinstance(exc, DomainParseError):
-            raise
         raise DomainParseError(str(exc), col) from exc
-    raise DomainParseError(f"unknown shape {name!r}", col)
 
 
-def _expect_groups(name: str, groups: list[list[float]], col: int, count: int, last_len: int) -> None:
-    if len(groups) != count:
-        raise DomainParseError(f"{name} expects {count} ';'-separated groups, got {len(groups)}", col)
-    if len(groups[-1]) != last_len:
-        raise DomainParseError(
-            f"{name} expects {last_len} number(s) after ';', got {len(groups[-1])}", col)
+def _parse_call(text: str, build, readers: dict):
+    """A whole expression that is one call; see _call."""
+    cur = _TokenCursor(text)
+    value = _call(cur, build, readers)
+    cur.end()
+    return value
+
+
+# shape -> (constructor of its two groups, length of the second; 0: as the first)
+_SHAPES = {
+    "ball": (lambda c, r: Ball(c, r[0]), 1),
+    "punctured_ball": (lambda c, r: PuncturedBall(c, r[0]), 1),
+    "box": (Box, 0),
+    "annulus": (lambda c, r: Annulus(c, r[0], r[1]), 2),
+}
+
+
+def _domain_from(name: str, args) -> Domain:
+    if name == "diff":
+        return Difference(*args)
+    if name == "halfspaces":
+        if any(len(g) < 2 for g in args):
+            raise ValueError("each halfspace needs normal coordinates and an offset")
+        return HalfspaceIntersection((g[:-1], g[-1]) for g in args)
+    if name not in _SHAPES:
+        raise ValueError(f"unknown shape {name!r}")
+    make, tail = _SHAPES[name]
+    tail = tail or len(args[0])
+    if len(args) != 2:
+        raise ValueError(f"{name} expects 2 ';'-separated groups, got {len(args)}")
+    if len(args[1]) != tail:
+        raise ValueError(f"{name} expects {tail} number(s) after ';', got {len(args[1])}")
+    return make(*args)
+
+
+def _diff_operands(cur: _TokenCursor) -> tuple[Domain, Domain]:
+    """The a, b) of diff(a, b)."""
+    a = _call(cur, _domain_from, _DOMAIN_READERS)
+    cur.next("punct", ",")
+    b = _call(cur, _domain_from, _DOMAIN_READERS)
+    cur.next("punct", ")")
+    return a, b
+
+
+_DOMAIN_READERS = {"diff": _diff_operands}
 
 
 def parse_domain(text: str) -> Domain:
     """Parse a domain expression like ``diff(box(0,0;1,1), ball(0.5,0.5;0.2))``."""
-    if not isinstance(text, str):
-        raise TypeError("domain specification must be a string")
-    cur = _TokenCursor(_tokenize(text), len(text))
-    dom = _parse_expr(cur)
-    tok = cur.peek()
-    if tok is not None:
-        raise DomainParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    return dom
+    return _parse_call(text, _domain_from, _DOMAIN_READERS)

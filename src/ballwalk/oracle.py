@@ -15,7 +15,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import MAX_DIM, as_point, _prep
+from .geometry import MAX_DIM, as_point, _parse_call, _prep, _TokenCursor
 
 _Array = NDArray[np.float64]
 
@@ -129,6 +129,18 @@ def radial_profile(t, n_dim: int):
     return sign * t ** (2.0 - n_dim)
 
 
+def _circle_samples(values) -> _Array:
+    """Circle samples as a read-only float64 copy: a flat array of at least
+    MIN_POISSON_NODES finite values."""
+    vals = np.array(values, dtype=np.float64)
+    if vals.ndim != 1 or vals.shape[0] < MIN_POISSON_NODES:
+        raise ValueError(f"need at least {MIN_POISSON_NODES} equispaced boundary samples")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("boundary samples must be finite")
+    vals.setflags(write=False)
+    return vals
+
+
 def poisson_disk_eval(values, x) -> float | _Array:
     """Harmonic extension into the unit disk of samples on the unit circle.
 
@@ -140,11 +152,7 @@ def poisson_disk_eval(values, x) -> float | _Array:
     below the node spacing.  Points with |x| >= 1 - 1e-6 are refused
     outright: the kernel is too singular there for fixed-node quadrature.
     """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1 or vals.shape[0] < MIN_POISSON_NODES:
-        raise ValueError(f"need at least {MIN_POISSON_NODES} equispaced boundary samples")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("boundary samples must be finite")
+    vals = _circle_samples(values)
     pts, single = _prep(x, 2)
     r2 = np.einsum("ij,ij->i", pts, pts)
     if np.any(np.sqrt(r2) >= POISSON_RADIUS_LIMIT):
@@ -163,13 +171,7 @@ class PoissonDisk(HarmonicOracle):
     """Harmonic function on the unit disk tabulated by circle samples."""
 
     def __init__(self, values):
-        vals = np.array(values, dtype=np.float64)
-        if vals.ndim != 1 or vals.shape[0] < MIN_POISSON_NODES:
-            raise ValueError(f"need at least {MIN_POISSON_NODES} equispaced boundary samples")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("boundary samples must be finite")
-        vals.setflags(write=False)
-        self.values = vals
+        self.values = _circle_samples(values)
         self.dim = 2
 
     def __repr__(self) -> str:
@@ -228,49 +230,40 @@ PROBE_FUNCTIONS: dict[str, ProbeFunction] = {
 
 
 # --------------------------------------------------------------------------
-# Mini-grammar: linear(1,0;0)  quad(1,-1)  quad(0,0.5;0.5,0)
-#               fundamental(2,0)  poisson(samples.csv)
+# Oracle expressions, in geometry's grammar: linear(1,0;0)  quad(1,-1)
+#   quad(0,0.5;0.5,0)  fundamental(2,0)  poisson(samples.csv)
 # --------------------------------------------------------------------------
 
-def parse_oracle(text: str) -> HarmonicOracle:
-    """Parse an oracle expression; see the grammar block above."""
-    if not isinstance(text, str):
-        raise TypeError("oracle specification must be a string")
-    s = text.strip()
-    open_at = s.find("(")
-    if open_at <= 0 or not s.endswith(")"):
-        raise ValueError(f"malformed oracle expression {text!r}")
-    name = s[:open_at].strip()
-    body = s[open_at + 1:-1]
+def _oracle_from(name: str, args) -> HarmonicOracle:
+    """The oracle called name, from its numeric groups or, for poisson, its path."""
     if name == "poisson":
-        path = body.strip()
-        if not path:
+        if not args:
             raise ValueError("poisson(...) needs a CSV path of circle samples")
-        samples = np.loadtxt(path, delimiter=",", ndmin=1)
+        samples = np.loadtxt(args, delimiter=",", ndmin=1)
         if samples.ndim > 1:
             samples = samples[:, -1]
         return PoissonDisk(samples)
-    groups = [[float(v) for v in grp.split(",")] for grp in _split_groups(body)]
     if name == "linear":
-        if len(groups) != 2 or len(groups[1]) != 1:
+        if len(args) != 2 or len(args[1]) != 1:
             raise ValueError("linear expects linear(a1,...,an;b)")
-        return Linear(groups[0], groups[1][0])
+        return Linear(args[0], args[1][0])
     if name == "fundamental":
-        if len(groups) != 1:
+        if len(args) != 1:
             raise ValueError("fundamental expects fundamental(z1,...,zn)")
-        return FundamentalSolution(groups[0])
+        return FundamentalSolution(args[0])
     if name == "quad":
-        if len(groups) == 1:
-            return HarmonicQuadratic(np.diag(groups[0]))
-        width = len(groups[0])
-        if any(len(g) != width for g in groups) or len(groups) != width:
+        if len(args) == 1:
+            return HarmonicQuadratic(np.diag(args[0]))
+        width = len(args[0])
+        if any(len(g) != width for g in args) or len(args) != width:
             raise ValueError("quad expects a diagonal quad(d1,...,dn) or full rows quad(r1;...;rn)")
-        return HarmonicQuadratic(groups)
+        return HarmonicQuadratic(args)
     raise ValueError(f"unknown oracle {name!r}")
 
 
-def _split_groups(body: str) -> list[str]:
-    groups = [g.strip() for g in body.split(";")]
-    if any(not g for g in groups):
-        raise ValueError("empty group in oracle expression")
-    return groups
+_ORACLE_READERS = {"poisson": _TokenCursor.path}
+
+
+def parse_oracle(text: str) -> HarmonicOracle:
+    """Parse an oracle expression; see the grammar block above."""
+    return _parse_call(text, _oracle_from, _ORACLE_READERS)

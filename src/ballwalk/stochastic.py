@@ -34,15 +34,16 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _as_u64(values) -> _U64:
-    """Coerce integers (any size, any sign) to uint64 arrays, reducing mod 2**64."""
+def _as_u64(values, name: str) -> _U64:
+    """Coerce integers (any size, any sign, or integral floats) to uint64 arrays,
+    reducing mod 2**64; booleans, fractions, NaN and infinities raise ValueError."""
     a = np.asarray(values)
     if a.dtype == np.uint64:
         out = a
     elif a.dtype.kind in "iu":
         out = a.astype(np.uint64)
     else:
-        flat = [int(v) & _MASK64 for v in np.ravel(a)]
+        flat = [_count(v, name, None) & _MASK64 for v in a.ravel().tolist()]
         out = np.asarray(flat, dtype=np.uint64).reshape(a.shape)
     return np.atleast_1d(out)
 
@@ -65,8 +66,8 @@ def _mix64(z: _U64) -> _U64:
 
 def _stream_base(master_seed: int, stream_indices) -> _U64:
     """Per-stream 64-bit state root; a pure hash of (master_seed, stream_index)."""
-    seed = _as_u64(master_seed)
-    idx = _as_u64(stream_indices)
+    seed = _as_u64(master_seed, "master_seed")
+    idx = _as_u64(stream_indices, "stream index")
     return _mix64(_mix64(seed ^ _SEED_SALT) + idx * _GOLDEN)
 
 
@@ -184,7 +185,7 @@ class RngStream:
         """The next ``count`` uniform [0, 1) draws, starting at this offset."""
         count = _count(count, "count", 0)
         base = _stream_base(self.master_seed, self.stream_index)
-        d = _as_u64(self.offset) + np.arange(count, dtype=np.uint64)
+        d = _as_u64(self.offset, "offset") + np.arange(count, dtype=np.uint64)
         return _to_unit(_draw_values(np.broadcast_to(base, d.shape), d))
 
     def advanced(self, count: int) -> "RngStream":
@@ -197,7 +198,7 @@ def _sample(stream: RngStream, n_dim: int, count: int | None, per: int, sampler)
     read from ``stream`` at its offset."""
     m = 1 if count is None else _count(count, "count", 0)
     base = np.broadcast_to(_stream_base(stream.master_seed, stream.stream_index), (m,))
-    first = _as_u64(stream.offset) + np.arange(m, dtype=np.uint64) * np.uint64(per)
+    first = _as_u64(stream.offset, "offset") + np.arange(m, dtype=np.uint64) * np.uint64(per)
     pts = sampler(base, first, n_dim)
     return pts[0] if count is None else pts
 

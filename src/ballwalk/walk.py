@@ -184,7 +184,7 @@ def run_walks(
     whose walk exits takes the next walk, in stream-index order; its step s
     is iteration (admission + s), so no outcome depends on when it joined.
     """
-    idx = _as_u64(stream_indices)
+    idx = _as_u64(stream_indices, "stream index")
     m = idx.shape[0]
     n = domain.dim
     starts, shared = _prep(x0, n)

@@ -392,3 +392,31 @@ def test_irregularity_witness_validation():
         irregularity_witness(DISK, (1.0, 0.0), [], [0.01], 100, 0)
     with pytest.raises(ValueError):
         irregularity_witness(DISK, (1.0, 0.0), [0.1], [-0.01], 100, 0)
+
+
+def test_cone_bound_refuses_a_dimension_above_the_cap():
+    with pytest.raises(ValueError, match=r"^n_dim must be an integer in 1\.\.16, got 2000"):
+        cone_bound_theta0(2000, 1.0)
+    assert 0.0 < cone_bound_theta0(16, 1.0) < 1.0
+
+
+def test_cone_bound_refuses_r_without_a_finite_bound():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big_r in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^R must be positive and finite"):
+                cone_bound_theta0(3, big_r)
+        for n_dim, big_r in [(2, 1e300), (3, 1e300), (2, 2e18), (3, 2e18), (5, 1e-300)]:
+            with pytest.raises(ValueError, match=r"^R = "):
+                cone_bound_theta0(n_dim, big_r)
+
+
+def test_cone_bound_finite_values_are_unchanged():
+    pinned = {(1, 1e6): "0x1.5555555555555p-1", (2, 1e-3): "0x1.e6152586dbca2p-1",
+              (2, 1e8): "0x1.555554023fc65p-1", (3, 67.7): "0x1.5a3b02d0dd59ap-1",
+              (5, 0.5): "0x1.fd639c04ef326p-1", (16, 1e3): "0x1.57e1f29d5b959p-1",
+              (16, 1e-6): "0x1.0000000000000p+0", (3, 1e12): "0x1.55526466a42a0p-1"}
+    for (n_dim, big_r), bits in pinned.items():
+        assert cone_bound_theta0(n_dim, big_r).hex() == bits

@@ -371,3 +371,9 @@ def test_cone_prints_theta0_and_writes_json_in_either_format(fmt, tmp_path, caps
     report = json.loads(out.read_text())
     assert set(report) == {"config", "result"}
     assert report["result"] == {"theta0": pytest.approx(8.0 / 9.0, abs=1e-12)}
+
+
+def test_escape_with_an_r_without_a_finite_bound_exits_one(capsys):
+    assert main(["escape", *ESCAPE, "--R", "1e300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: R = 1e+300")

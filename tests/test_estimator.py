@@ -326,3 +326,13 @@ def test_tabulated_in_estimate():
     data = Tabulated(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 0.0]))
     est = estimate_value(sq, data, (0.0, 0.0), CFG, 2, 300)
     assert 0.0 <= est.mean <= 1.0
+
+
+def test_tabulated_and_tietze_extend_refuse_anchors_alike():
+    for pts, vals in [(np.zeros(2), [1.0]), (np.zeros((2, 2)), [1.0]),
+                      (np.array([[0.0, np.inf]]), [1.0]), (np.zeros((1, 2)), [np.nan])]:
+        with pytest.raises(ValueError) as by_class:
+            Tabulated(pts, vals)
+        with pytest.raises(ValueError) as by_eval:
+            tietze_extend(pts, vals, (0.1, 0.2))
+        assert str(by_class.value) == str(by_eval.value)

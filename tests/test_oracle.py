@@ -210,3 +210,12 @@ def test_parse_oracle_errors():
         parse_oracle("quad(1,1)")  # not trace-free
     with pytest.raises(TypeError):
         parse_oracle(42)
+
+
+def test_poisson_disk_and_its_eval_refuse_samples_alike():
+    for bad in (np.ones(63), np.ones((64, 2)), np.r_[np.ones(63), np.nan]):
+        with pytest.raises(ValueError) as by_class:
+            PoissonDisk(bad)
+        with pytest.raises(ValueError) as by_eval:
+            poisson_disk_eval(bad, (0.1, 0.2))
+        assert str(by_class.value) == str(by_eval.value)

@@ -239,3 +239,31 @@ def test_zero_direction_is_redrawn(n_dim):
     # the redraw reads the draws at first + _REDRAW_STRIDE
     redrawn = _unit_sphere_from_base(base[:3], first[:3] + _REDRAW_STRIDE, n_dim)
     assert np.array_equal(sphere[:3], redrawn)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, np.float64(3.9), float("nan"), float("inf")])
+def test_seeds_stream_indices_and_offsets_must_be_integers(bad):
+    from ballwalk import Ball, Constant, WalkConfig, estimate_value, run_walks
+
+    with pytest.raises(ValueError, match=r"^master_seed must be an integer, got"):
+        RngStream(bad, 0).uniforms(2)
+    with pytest.raises(ValueError, match=r"^stream index must be an integer, got"):
+        RngStream(0, bad).uniforms(2)
+    with pytest.raises(ValueError, match=r"^offset must be an integer, got"):
+        RngStream(0, 0, offset=bad).uniforms(2)
+    with pytest.raises(ValueError, match=r"^offset must be an integer, got"):
+        sample_unit_ball(RngStream(0, 0, offset=bad), 2, 3)
+    disk, cfg = Ball((0.0, 0.0), 1.0), WalkConfig(0.3)
+    with pytest.raises(ValueError, match=r"^stream index must be an integer, got"):
+        run_walks(disk, (0.2, 0.1), cfg, 1, [bad])
+    with pytest.raises(ValueError, match=r"^master_seed must be an integer, got"):
+        estimate_value(disk, Constant(1.0), (0.2, 0.1), cfg, bad, 4)
+
+
+def test_integral_seeds_equal_their_int_and_wrap_mod_2_64():
+    ref = RngStream(3, 5, offset=7).uniforms(4)
+    for seed, idx, off in [(3.0, 5, 7), (np.int64(3), 5.0, 7.0), (3 + 2**64, 5 - 2**64, 7 + 2**65),
+                           (np.float64(3.0), np.uint64(5), np.int32(7))]:
+        assert np.array_equal(RngStream(seed, idx, offset=off).uniforms(4), ref)
+    assert np.array_equal(RngStream(-1, 0).uniforms(3), RngStream(2**64 - 1, 0).uniforms(3))
+    assert not np.array_equal(RngStream(2, 0).uniforms(3), RngStream(3, 0).uniforms(3))
