@@ -383,7 +383,8 @@ def cone_bound_theta0(n_dim: int, big_r: float) -> float:
 
     Built from the decreasing harmonic radial profile v:
     theta0 = (v(R) - v(2 + R)) / (v(R) - v(3 + R)), in (0, 1) in exact arithmetic.
-    An R for which the float64 quotient is not finite is refused.
+    An R for which the float64 quotient is not strictly inside (0, 1) is
+    refused.
     """
     n_dim = _count(n_dim, "n_dim", 1, MAX_DIM)
     big_r = float(big_r)
@@ -392,8 +393,8 @@ def cone_bound_theta0(n_dim: int, big_r: float) -> float:
     with np.errstate(all="ignore"):
         v = radial_profile(np.array([big_r, 2.0 + big_r, 3.0 + big_r]), n_dim)
         theta0 = float((v[0] - v[1]) / (v[0] - v[2]))
-    if not math.isfinite(theta0):
-        raise ValueError(f"R = {big_r} is too extreme for a finite bound in {n_dim} dimensions")
+    if not 0.0 < theta0 < 1.0:
+        raise ValueError(f"R = {big_r} is too extreme for a bound in (0, 1) in {n_dim} dimensions")
     return theta0
 
 

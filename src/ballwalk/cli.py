@@ -25,7 +25,9 @@ from . import analysis, reporting
 from .estimator import estimate_field, estimate_value, exit_sample, parse_boundary_data
 from .geometry import Domain, _count, parse_domain
 from .oracle import PROBE_FUNCTIONS, parse_oracle
-from .walk import WalkConfig, run_walks
+# run_walks is not called here, but perfbench/tracer.py wraps ballwalk.cli.run_walks
+# as a layer boundary, so the name stays.
+from .walk import WalkConfig, run_walks, trace_walk  # noqa: F401
 
 COMMANDS = ("solve", "field", "exitdist", "regularity", "escape", "cone",
             "check-mvp", "check-avg", "irregularity")
@@ -286,10 +288,9 @@ def _run_solve(config: RunConfig) -> _Report:
     est = estimate_value(domain, data, config.x0, wc, config.seed, config.walks,
                          threads=config.threads)
     if config.trace:
-        _, traces = run_walks(domain, np.asarray(config.x0), wc, config.seed,
-                              np.array([0], dtype=np.int64), record_trace=True)
+        path = trace_walk(domain, config.x0, wc, config.seed, 0)[0]
         with open(config.trace, "w", encoding="utf-8", newline="") as fh:
-            fh.write(reporting.trace_csv(traces[0]))
+            fh.write(reporting.trace_csv(path))
     result = {"mean": est.mean, "stderr": est.stderr, "n": est.n,
               "ci95": list(est.ci95), "truncated_count": est.truncated_count}
     return _Report(result, ["mean", "stderr", "n", "truncated"],

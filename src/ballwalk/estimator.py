@@ -17,7 +17,6 @@ import abc
 import concurrent.futures
 import dataclasses
 import math
-import operator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -214,21 +213,22 @@ def _check_streams(stream_base: int, n: int) -> int:
     """Check that walk streams stream_base + [0, n) lie in
     [0, AUX_STREAM_BASE) and return stream_base as an int.
 
-    Walk streams are never negative and never reach the auxiliary block,
-    which also keeps them inside int64.  Entry points check their whole
-    range with this before any walk runs.
+    stream_base is an integer by the count rule.  Walk streams are never
+    negative and never reach the auxiliary block, which also keeps them
+    inside int64.  Entry points check their whole range with this before any
+    walk runs.
     """
-    first = operator.index(stream_base)
+    first = _count(stream_base, "stream_base", None)
     if first < 0 or first + n > AUX_STREAM_BASE:
-        raise ValueError(
-            f"walk streams [{first}, {first + n}) leave [0, AUX_STREAM_BASE = 2**60)")
+        raise ValueError(f"stream_base = {first} puts walk streams [{first}, {first + n}) "
+                         "outside [0, AUX_STREAM_BASE = 2**60)")
     return first
 
 
 def _stream_range(stream_base: int, lo: int, hi: int) -> NDArray[np.uint64]:
     """Walk streams stream_base + [lo, hi) of one kernel call, as uint64;
     raises ValueError as _check_streams does."""
-    first = _check_streams(operator.index(stream_base) + lo, hi - lo)
+    first = _check_streams(stream_base + lo, hi - lo)
     return np.arange(first, first + (hi - lo), dtype=np.uint64)
 
 
@@ -297,7 +297,7 @@ def exit_sample(
     """
     n_walks = _count(n_walks, "n_walks")
     threads = _count(threads, "threads")
-    _check_streams(stream_base, n_walks)
+    stream_base = _check_streams(stream_base, n_walks)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim == 2 and x0.shape[0] != n_walks:
         raise ValueError(f"got {x0.shape[0]} start points for {n_walks} walks")
@@ -329,7 +329,7 @@ def estimate_value(
     """Estimate the solution at x0 as the mean of F over simulated exits."""
     n_walks = _count(n_walks, "n_walks", 2)
     threads = _count(threads, "threads")
-    _check_streams(stream_base, n_walks)
+    stream_base = _check_streams(stream_base, n_walks)
 
     def worker(lo: int, hi: int) -> list[tuple[tuple[int, float, float], int]]:
         batch = run_walks(domain, x0, config, master_seed, _stream_range(stream_base, lo, hi))
@@ -373,7 +373,7 @@ def estimate_field(
     n_walks = _count(n_walks, "n_walks", 2)
     threads = _count(threads, "threads")
     m = pts.shape[0]
-    _check_streams(stream_base, m * n_walks)
+    stream_base = _check_streams(stream_base, m * n_walks)
 
     inside = domain.contains(pts)
     means = np.full(m, np.nan)

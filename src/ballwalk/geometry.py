@@ -539,8 +539,11 @@ def cone_parameters(cone: Cone) -> float:
 
     R is the radius of the largest ball inscribed in the cone at unit
     distance from the tip, the quantity the escape-probability bound needs.
+    A half-angle whose sine rounds to 1 has no finite R and is refused.
     """
     s = math.sin(cone.half_angle)
+    if s == 1.0:
+        raise ValueError(f"half_angle {cone.half_angle} is too close to pi/2 for a finite R")
     return s / (1.0 - s)
 
 

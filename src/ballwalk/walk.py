@@ -22,6 +22,26 @@ projection is row-wise, so this gives the same exits as projecting walks as
 they stop.  Outcomes are therefore independent of batch composition, lane
 count and block size, for every shape: running a walk alone, in a chunk, or
 under any thread count is bitwise identical on one machine and numpy build.
+
+Safe leaps.  Every shape's signed distance is 1-Lipschitz (a max of exact
+distances, of unit-normal plane margins, or the box distance), and so is
+|x - c|.  A walk at distance d from the boundary therefore takes its next
+k steps at radius exactly epsilon, and none of them can stop it, while
+d >= (k + 1) * epsilon for ball walks and (k + 2) * epsilon for sphere
+walks; the extra epsilon absorbs rounding, which is of the order of one ulp
+of the coordinates per step.  A ring stop bounds k the same way, by
+r - |x - c|.  Once no walk is pending, an iteration in which every
+live walk has that room for k >= 2 steps, and none reaches its cap within
+them, advances every lane k steps (or to the end of its prefetch block) at
+once: np.add.accumulate over [x, epsilon * w_t, ..., epsilon * w_{t+k-1}]
+along the step axis performs exactly the additions of k single steps
+x += min(epsilon, dist) * w, so a leap changes no bit.  A walk's room
+grows by at most epsilon per step, so a test that finds room for fewer than
+2 steps is not repeated before it could find 2; skipping a test only forgoes
+a leap.
+
+trace_walk runs one walk step by step with the public samplers, without
+lanes, blocks or leaps: it is the reference that run_walks is tested against.
 """
 
 from __future__ import annotations
@@ -33,12 +53,15 @@ from numpy.typing import NDArray
 
 from .geometry import Domain, _count, _prep
 from .stochastic import (
+    RngStream,
     _as_u64,
     _stream_base,
     _unit_ball_from_base,
     _unit_sphere_from_base,
     draws_per_ball,
     draws_per_sphere,
+    sample_unit_ball,
+    sample_unit_sphere,
 )
 
 _Array = NDArray[np.float64]
@@ -109,10 +132,11 @@ class _StepDraws:
     walk's stream, whatever the batch.  A lane stores the offset -a * per
     (mod 2**64) for a walk admitted at iteration a, so iteration t reads
     lane offset + t * per for every lane alike.  While the live batch is
-    narrower than _PREFETCH_ROWS, one sampler call fills a block of k
-    iterations for every lane; rows of walks that leave are dropped from the
-    block, and admitting a walk drops the whole block.  Block depth therefore
-    changes how many calls are made, never a sample.
+    narrower than _PREFETCH_ROWS, one sampler call fills a block of several
+    iterations for every lane, handed out one iteration at a time or, for a
+    leap, several; rows of walks that leave are dropped from the block, and
+    admitting a walk drops the whole block.  Block depth therefore changes
+    how many calls are made, never a sample.
     """
 
     def __init__(self, n_dim: int, sphere: bool, master_seed: int, stream_indices,
@@ -142,21 +166,34 @@ class _StepDraws:
         self._horizon = t + self._max_steps
         self._block = None
 
-    def take(self, t: int) -> _Array:
-        """The iteration-t samples of the lanes, shape (live, n)."""
+    def take(self, t: int, k: int = 1) -> _Array:
+        """The samples of iterations t .. t + k' - 1 for the lanes, shape
+        (live, k', n), where k' is k or, if the block ends first, less."""
         block = self._block
         if block is None:
             live = self._bases.shape[0]
-            k = max(1, min(_PREFETCH_ROWS // live, self._horizon - t))
-            first = self._offsets[:, None] + np.arange(t, t + k, dtype=np.uint64) * self._per
-            w = self._sampler(np.repeat(self._bases, k), first.ravel(), self._n_dim)
-            block = w.reshape(live, k, self._n_dim)
+            depth = max(1, min(_PREFETCH_ROWS // live, self._horizon - t))
+            first = self._offsets[:, None] + np.arange(t, t + depth, dtype=np.uint64) * self._per
+            w = self._sampler(np.repeat(self._bases, depth), first.ravel(), self._n_dim)
+            block = w.reshape(live, depth, self._n_dim)
             self._block_t = t
         j = t - self._block_t
+        end = min(j + k, block.shape[1])
         # Iterations are taken in order, so a block is released once its last
         # step is read and drop() never gathers rows that will not be read.
-        self._block = block if j + 1 < block.shape[1] else None
-        return block[:, j]
+        self._block = block if end < block.shape[1] else None
+        return block[:, j:end]
+
+
+def _ring(ring: tuple, n: int) -> tuple[_Array, float]:
+    """The checked (center (1, n), radius) of a ring stop."""
+    center, one = _prep(ring[0], n)
+    if not one:
+        raise ValueError("the ring center must be one point")
+    radius = float(ring[1])
+    if not radius > 0.0:
+        raise ValueError(f"the ring radius must be positive, got {ring[1]!r}")
+    return center, radius
 
 
 def run_walks(
@@ -167,8 +204,7 @@ def run_walks(
     stream_indices,
     *,
     ring: tuple | None = None,
-    record_trace: bool = False,
-) -> WalkBatch | tuple[WalkBatch, list[_Array]]:
+) -> WalkBatch:
     """Advance one walk per stream index until exit or cap; see WalkBatch.
 
     ``x0`` is one start (n,) shared by every walk, or one start per walk
@@ -176,9 +212,7 @@ def run_walks(
     stops at the top of the first iteration in which its position lies at
     distance at least r from the one point ``center`` (so a walk that starts
     there takes no step), and every walk's final position is returned
-    unprojected in exit_points.
-    With ``record_trace`` the full position history is returned as one
-    (steps+1, n) array per walk; use small batches.
+    unprojected in exit_points.  trace_walk gives one walk's whole path.
 
     At most _LANES walks are live at once.  While walks are pending, a lane
     whose walk exits takes the next walk, in stream-index order; its step s
@@ -196,6 +230,9 @@ def run_walks(
     eps = config.epsilon
     max_steps = config.max_steps
     sphere = config.kind == SPHERE
+    # Steps of room a leap keeps in hand: one for rounding, and one more for
+    # a sphere walk, whose radius is min(eps, dist / 2).
+    margin = 2 if sphere else 1
     lanes = min(_LANES, m)
     draws = _StepDraws(n, sphere, master_seed, idx, max_steps, lanes)
 
@@ -203,22 +240,16 @@ def run_walks(
     # written to the outputs only when walks leave the batch.
     cur = np.broadcast_to(starts, (m, n))[:lanes].copy()
     if ring is not None:
-        center, one = _prep(ring[0], n)
-        if not one:
-            raise ValueError("the ring center must be one point")
-        ring_radius = float(ring[1])
-        if not ring_radius > 0.0:
-            raise ValueError(f"the ring radius must be positive, got {ring[1]!r}")
+        center, ring_radius = _ring(ring, n)
     final = np.empty((m, n))
     # A live walk's entry holds the iteration of its step 0; it becomes the
     # walk's step count when the walk leaves.
     steps = np.zeros(m, dtype=np.int64)
     truncated = np.zeros(m, dtype=bool)
-    traces: list[list[_Array]] = (
-        [[row.copy()] for row in np.broadcast_to(starts, (m, n))] if record_trace else [])
 
     alive = np.arange(lanes)    # the walk in each lane
     pending = lanes             # the next walk to admit
+    skip = 0                    # iterations before the next leap test
     t = 0
     while alive.size:
         dist = -domain._sd(cur)
@@ -251,13 +282,30 @@ def run_walks(
                 dist = dist[keep]
                 draws.drop(keep)
         radius = np.minimum(eps, 0.5 * dist) if sphere else np.minimum(eps, dist)
-        cur += radius[:, None] * draws.take(t)
-        if record_trace:
-            parked = set(refill.tolist()) if refill is not None else set()
-            for k, row in enumerate(alive):
-                if k not in parked:
-                    traces[row].append(cur[k].copy())
-        t += 1
+        k = 1
+        if pending == m:
+            if skip:
+                skip -= 1
+            else:
+                room = dist.min()
+                if ring is not None:
+                    room = min(room, ring_radius - np.linalg.norm(cur - center, axis=1).max())
+                k = int(room // eps) - margin
+                if k < 2:
+                    skip, k = 1 - k, 1
+                else:
+                    k = min(k, int(steps[alive].min()) + max_steps - t)
+        w = draws.take(t, k)
+        if w.shape[1] == 1:
+            cur += radius[:, None] * w[:, 0]
+        else:
+            # A leap: radius is eps on every lane for all of its steps.
+            path = np.empty((alive.size, w.shape[1] + 1, n))
+            path[:, 0] = cur
+            np.multiply(eps, w, out=path[:, 1:])
+            np.add.accumulate(path, axis=1, out=path)
+            cur = path[:, -1].copy()
+        t += w.shape[1]
         if refill is not None:
             walks = np.arange(pending, pending + refill.size)
             pending += refill.size
@@ -272,8 +320,51 @@ def run_walks(
     if ring is None:
         for lo in range(0, m, lanes):
             final[lo:lo + lanes] = domain._project(final[lo:lo + lanes])
-    batch = WalkBatch(final, steps, truncated)
-    if record_trace:
-        return batch, [np.asarray(tr) for tr in traces]
-    return batch
+    return WalkBatch(final, steps, truncated)
 
+
+def trace_walk(
+    domain: Domain,
+    x0,
+    config: WalkConfig,
+    master_seed: int,
+    stream: int,
+    *,
+    ring: tuple | None = None,
+) -> tuple[_Array, _Array, int, bool]:
+    """Run one walk from the point ``x0`` on stream ``stream``, one step at a
+    time; returns (path, exit_point, steps, truncated).
+
+    Step s moves by min(eps, dist) (min(eps, dist / 2) for a sphere walk)
+    times the unit sample whose first draw is s * per on the stream, read
+    with sample_unit_ball or sample_unit_sphere.  ``path`` holds the
+    steps + 1 positions from x0 on; ``exit_point`` is the projection of the
+    last one or, with ``ring``, the last one itself.  run_walks gives this
+    walk the same path in any batch, so this is its reference.
+    """
+    n = domain.dim
+    x, one = _prep(x0, n)
+    if not one:
+        raise ValueError("trace_walk takes one start point")
+    if not domain.contains(x)[0]:
+        raise ValueError("walks must start inside the open domain")
+    tol = config.resolved_stop(domain)
+    sphere = config.kind == SPHERE
+    sample, per = ((sample_unit_sphere, draws_per_sphere(n)) if sphere
+                   else (sample_unit_ball, draws_per_ball(n)))
+    if ring is not None:
+        center, ring_radius = _ring(ring, n)
+    path = [x]
+    while True:
+        s = len(path) - 1
+        dist = np.maximum(-domain._sd(x), 0.0)
+        stopped = dist[0] < tol or (
+            ring is not None and np.linalg.norm(x - center, axis=1)[0] >= ring_radius)
+        if stopped or s >= config.max_steps:
+            break
+        radius = np.minimum(config.epsilon, 0.5 * dist if sphere else dist)
+        x = x + radius[:, None] * sample(RngStream(master_seed, stream, s * per), n, 1)
+        path.append(x)
+    last = path[-1]
+    exit_point = last if ring is not None else domain._project(last)
+    return np.concatenate(path), exit_point[0], s, not stopped

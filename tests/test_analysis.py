@@ -6,6 +6,7 @@ antithetic pairing, trivial-case short circuits).
 """
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from ballwalk import (
     mean_value_residual,
     run_walks,
     sample_unit_ball,
+    trace_walk,
 )
 from ballwalk.estimator import _CHUNK, exit_sample
 
@@ -297,15 +299,20 @@ def test_escape_validates_walks_and_threads(n_walks, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_escape_equals_one_run_walks_batch(threads):
-    # A walk escapes when the max over its whole unringed path of |x - y0|
-    # reaches delta; more walks than one chunk, so threads=2 splits them.
+    # A walk escapes when its ring stop at (y0, delta) ends it off the
+    # boundary, which is when the max over its whole unringed path of
+    # |x - y0| reaches delta (checked on the first walks); more walks than
+    # one chunk, so threads=2 splits them.
     n, y0, delta = _CHUNK + 500, np.array([1.0, 0.0]), 0.3
     got = estimate_escape_probability(DISK, y0, delta, (0.9, 0.0), 0.2, n, 9,
                                       threads=threads)
-    batch, paths = run_walks(DISK, (0.9, 0.0), WalkConfig(0.2), 9, range(n),
-                             record_trace=True)
+    batch = run_walks(DISK, (0.9, 0.0), WalkConfig(0.2), 9, range(n), ring=(y0, delta))
     ok = ~batch.truncated
-    escaped = np.array([np.linalg.norm(tr - y0, axis=1).max() >= delta for tr in paths])
+    escaped = np.linalg.norm(batch.exit_points - y0, axis=1) >= delta
+    for k in range(40):
+        path = trace_walk(DISK, (0.9, 0.0), WalkConfig(0.2), 9, k)[0]
+        assert escaped[k] == (np.linalg.norm(path - y0, axis=1).max() >= delta)
+    assert 0 < escaped[:40].sum() < 40
     p = float(escaped[ok].mean())
     assert 0.0 < p < 1.0
     assert got == (p, math.sqrt(p * (1.0 - p) / int(ok.sum())))
@@ -408,8 +415,10 @@ def test_cone_bound_refuses_r_without_a_finite_bound():
         for big_r in (math.inf, math.nan):
             with pytest.raises(ValueError, match=r"^R must be positive and finite"):
                 cone_bound_theta0(3, big_r)
-        for n_dim, big_r in [(2, 1e300), (3, 1e300), (2, 2e18), (3, 2e18), (5, 1e-300)]:
-            with pytest.raises(ValueError, match=r"^R = "):
+        # bounds that are not finite, and bounds that round to 0 or 1
+        for n_dim, big_r in [(2, 1e300), (3, 1e300), (2, 2e18), (3, 2e18), (5, 1e-300),
+                             (2, 1e15), (16, 1e-6)]:
+            with pytest.raises(ValueError, match=rf"^R = {re.escape(str(big_r))} is too"):
                 cone_bound_theta0(n_dim, big_r)
 
 
@@ -417,6 +426,6 @@ def test_cone_bound_finite_values_are_unchanged():
     pinned = {(1, 1e6): "0x1.5555555555555p-1", (2, 1e-3): "0x1.e6152586dbca2p-1",
               (2, 1e8): "0x1.555554023fc65p-1", (3, 67.7): "0x1.5a3b02d0dd59ap-1",
               (5, 0.5): "0x1.fd639c04ef326p-1", (16, 1e3): "0x1.57e1f29d5b959p-1",
-              (16, 1e-6): "0x1.0000000000000p+0", (3, 1e12): "0x1.55526466a42a0p-1"}
+              (3, 1e12): "0x1.55526466a42a0p-1"}
     for (n_dim, big_r), bits in pinned.items():
         assert cone_bound_theta0(n_dim, big_r).hex() == bits

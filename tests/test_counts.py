@@ -46,14 +46,20 @@ COUNTS = {
     "exit_sample.n_walks": ("n_walks", 1, lambda v: exit_sample(DISK, X0, CFG, 1, v)),
     "exit_sample.threads": ("threads", 1,
                             lambda v: exit_sample(DISK, X0, CFG, 1, 3, threads=v)),
+    "exit_sample.stream_base": ("stream_base", 0,
+                                lambda v: exit_sample(DISK, X0, CFG, 1, 3, stream_base=v)),
     "estimate_value.n_walks": ("n_walks", 2,
                                lambda v: estimate_value(DISK, Constant(1.0), X0, CFG, 1, v)),
     "estimate_value.threads": ("threads", 1, lambda v: estimate_value(
         DISK, Coordinate(1), X0, CFG, 1, 3, threads=v)),
+    "estimate_value.stream_base": ("stream_base", 0, lambda v: estimate_value(
+        DISK, Coordinate(1), X0, CFG, 1, 3, stream_base=v)),
     "estimate_field.n_walks": ("n_walks", 2, lambda v: estimate_field(
         DISK, Coordinate(1), [X0, (3.0, 0.0)], CFG, 1, v)),
     "estimate_field.threads": ("threads", 1, lambda v: estimate_field(
         DISK, Coordinate(1), [X0], CFG, 1, 3, threads=v)),
+    "estimate_field.stream_base": ("stream_base", 0, lambda v: estimate_field(
+        DISK, Coordinate(1), [X0], CFG, 1, 3, stream_base=v)),
     "estimate_regularity.probe_count": ("probe_count", 1, lambda v: estimate_regularity(
         DISK, Y0, 0.3, 0.02, 0.1, v, 3, 1)),
     "estimate_regularity.n_walks": ("n_walks", 1, lambda v: estimate_regularity(

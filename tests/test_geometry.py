@@ -156,6 +156,30 @@ def test_ball_projection_property(x, y):
     assert not b.contains(q)
 
 
+# Every shape's signed distance is 1-Lipschitz; run_walks leaps several steps
+# at once on that bound.  The 3-D shapes have faces at irrational angles.
+LIPSCHITZ_SHAPES = UNIT_SHAPES + [
+    Annulus((0.1, 0.0, 0.0), 0.4, 1.0),
+    PuncturedBall((0.0, 0.1, 0.0), 1.0),
+    Difference(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), Ball((0.5, 0.5, 0.5), 0.3)),
+    HalfspaceIntersection([((a, 0.5 * b, 0.25 * c), 1.0) for a in (1.0, -1.0)
+                           for b in (1.0, -1.0) for c in (1.0, -1.0)]),
+]
+
+
+@given(st.sampled_from(range(len(LIPSCHITZ_SHAPES))), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-12, 1e-6, 1e-3, 0.05, 0.5, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_signed_distance_is_1_lipschitz(j, seed, gap):
+    domain = LIPSCHITZ_SHAPES[j]
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.bounding_box()
+    x = rng.uniform(lo - 0.5, hi + 0.5, size=(512, domain.dim))
+    y = x + gap * rng.standard_normal(x.shape)
+    bound = np.linalg.norm(x - y, axis=1) * (1.0 + 1e-12) + 1e-15
+    assert np.all(np.abs(domain.signed_distance(x) - domain.signed_distance(y)) <= bound)
+
+
 def test_cone_construction_and_ratio():
     cone = Cone((0.0, 0.0, 0.0), (0.0, 0.0, 2.0), 0.5, 1.5)
     assert cone.dim == 3
@@ -169,6 +193,11 @@ def test_cone_construction_and_ratio():
         Cone((0.0, 0.0), (1.0, 0.0), math.pi / 2.0, 1.0)
     with pytest.raises(ValueError):
         Cone((0.0, 0.0), (1.0, 0.0), 0.5, 0.0)
+    # sin rounds to 1 this close to pi/2, so R = s / (1 - s) has no float value
+    near_flat = Cone((0.0, 0.0), (1.0, 0.0), math.pi / 2.0 - 1e-9, 1.0)
+    with pytest.raises(ValueError, match="too close to pi/2"):
+        cone_parameters(near_flat)
+    assert cone_parameters(Cone((0.0, 0.0), (1.0, 0.0), 1.57, 1.0)) > 1e6
 
 
 def test_parse_domain_forms():

@@ -26,6 +26,7 @@ from ballwalk import (
     run_walks,
     sample_unit_ball,
     sample_unit_sphere,
+    trace_walk,
 )
 
 DISK = Ball((0.0, 0.0), 1.0)
@@ -109,10 +110,11 @@ def test_batch_matches_single_walks():
 
 def test_trace_is_the_walk():
     cfg = WalkConfig(0.2)
-    batch, traces = run_walks(DISK, (0.3, 0.0), cfg, 1, [0], record_trace=True)
-    tr = traces[0]
+    tr, exit_point, steps, truncated = trace_walk(DISK, (0.3, 0.0), cfg, 1, 0)
+    batch = run_walks(DISK, (0.3, 0.0), cfg, 1, [0])
     assert np.array_equal(tr[0], [0.3, 0.0])
-    assert tr.shape == (batch.steps[0] + 1, 2)
+    assert tr.shape == (steps + 1, 2) and not truncated
+    assert steps == batch.steps[0] and np.array_equal(exit_point, batch.exit_points[0])
     # every intermediate point is interior, steps bounded by epsilon and dist
     assert np.all(DISK.contains(tr))
     hops = np.linalg.norm(np.diff(tr, axis=0), axis=1)
@@ -120,13 +122,15 @@ def test_trace_is_the_walk():
     assert np.all(hops <= np.minimum(cfg.epsilon, dists) + 1e-15)
     # exit point is the projection of the final interior position
     stop = cfg.resolved_stop(DISK)
-    assert np.linalg.norm(batch.exit_points[0] - tr[-1]) <= stop + 1e-12
+    assert np.linalg.norm(exit_point - tr[-1]) <= stop + 1e-12
+    for bad in ([[0.3, 0.0], [0.0, 0.0]], (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            trace_walk(DISK, bad, cfg, 1, 0)
 
 
 def test_sphere_walk_steps_are_half_distance():
     cfg = WalkConfig(0.5, kind=SPHERE)
-    _, traces = run_walks(DISK, (0.0, 0.0), cfg, 7, [2], record_trace=True)
-    tr = traces[0]
+    tr = trace_walk(DISK, (0.0, 0.0), cfg, 7, 2)[0]
     hops = np.linalg.norm(np.diff(tr, axis=0), axis=1)
     expected = np.minimum(cfg.epsilon, DISK.distance_to_boundary(tr[:-1]) / 2.0)
     np.testing.assert_allclose(hops, expected, rtol=1e-12)
@@ -189,19 +193,19 @@ def test_ring_centered_off_the_start_cuts_the_unringed_path():
     # returned unprojected, and the walk's steps up to it are unchanged.
     x0, center, r = (0.3, 0.0), np.array([0.5, 0.0]), 0.6
     cfg = WalkConfig(0.1)
-    ringed, ringed_traces = run_walks(DISK, x0, cfg, 23, range(40), ring=(center, r),
-                                      record_trace=True)
-    _, traces = run_walks(DISK, x0, cfg, 23, range(40), record_trace=True)
+    ringed = run_walks(DISK, x0, cfg, 23, range(40), ring=(center, r))
     outside = 0
-    for k, tr in enumerate(traces):
+    for k in range(40):
+        tr = trace_walk(DISK, x0, cfg, 23, k)[0]
         far = np.flatnonzero(np.linalg.norm(tr - center, axis=1) >= r)
         stop = int(far[0]) if far.size else tr.shape[0] - 1
         outside += bool(far.size)
         assert ringed.steps[k] == stop and not ringed.truncated[k]
-        assert np.array_equal(ringed_traces[k], tr[:stop + 1])
+        assert np.array_equal(trace_walk(DISK, x0, cfg, 23, k, ring=(center, r))[0],
+                              tr[:stop + 1])
         assert np.array_equal(ringed.exit_points[k], tr[stop])
     # the ring pokes out of the disk, so some walks meet it and some the boundary
-    assert 0 < outside < len(traces)
+    assert 0 < outside < 40
     # a start at distance exactly r is on the ring already and takes no step
     on_ring = float(np.linalg.norm(np.subtract(x0, center)[None, :], axis=1)[0])
     batch = run_walks(DISK, x0, cfg, 23, range(3), ring=(center, on_ring))
@@ -302,11 +306,13 @@ def test_step_t_reads_the_sample_at_offset_plus_t_draws(kind):
     cfg = WalkConfig(0.1, kind=kind)
     idx = [3, 8, 21]
     starts = _interior_starts(2, 3, 6)
-    batch, traces = run_walks(DISK, starts, cfg, 6, idx, record_trace=True)
+    batch = run_walks(DISK, starts, cfg, 6, idx)
     sample = sample_unit_sphere if kind == SPHERE else sample_unit_ball
     per = draws_per_sphere(2) if kind == SPHERE else draws_per_ball(2)
-    for k, tr in enumerate(traces):
+    for k in range(3):
+        tr, exit_point, _, _ = trace_walk(DISK, starts[k], cfg, 6, idx[k])
         assert tr.shape[0] == batch.steps[k] + 1
+        assert np.array_equal(exit_point, batch.exit_points[k])
         for t in range(batch.steps[k]):
             dist = DISK.distance_to_boundary(tr[t])
             radius = min(cfg.epsilon, 0.5 * dist if kind == SPHERE else dist)
@@ -345,15 +351,17 @@ def test_exits_are_projected_in_one_call(monkeypatch, case):
 
     monkeypatch.setattr(domain, "_project", spy)
     ring = ((0.0, 0.0), 0.95) if case == "ringed" else None
-    batch, traces = run_walks(domain, starts, cfg, 3, range(m), ring=ring, record_trace=True)
+    batch = run_walks(domain, starts, cfg, 3, range(m), ring=ring)
+    lasts = np.array([trace_walk(DISK, starts[k], cfg, 3, k, ring=ring)[0][-1]
+                      for k in range(m)])
     if case == "ringed":
         assert calls == []
-        assert np.array_equal(batch.exit_points, np.array([tr[-1] for tr in traces]))
+        assert np.array_equal(batch.exit_points, lasts)
         assert np.all(np.linalg.norm(batch.exit_points, axis=1) >= 0.95)
         assert np.all(batch.steps >= 1)
         return
     assert len(calls) == 1
-    assert np.array_equal(calls[0], np.array([tr[-1] for tr in traces]))
+    assert np.array_equal(calls[0], lasts)
     assert np.array_equal(batch.exit_points, project(calls[0]))
     if case == "capped":
         assert np.all(batch.truncated) and np.all(batch.steps == 4)
@@ -410,13 +418,68 @@ def test_late_walk_is_truncated_at_its_own_cap(monkeypatch):
     monkeypatch.setattr(walk, "_LANES", 1)
     monkeypatch.setattr(walk._StepDraws, "admit", spy)
     cfg = WalkConfig(0.01, max_steps=cap)
-    batch, traces = run_walks(DISK, (0.0, 0.0), cfg, 2, [4, 9, 1], record_trace=True)
+    batch = run_walks(DISK, (0.0, 0.0), cfg, 2, [4, 9, 1])
     assert admissions == [([1], cap + 1), ([2], 2 * (cap + 1))]
     assert np.all(batch.truncated)
     assert np.all(batch.steps == cap)
-    assert [tr.shape[0] for tr in traces] == [cap + 1] * 3
-    monkeypatch.undo()
     for row, k in enumerate([4, 9, 1]):
-        alone, alone_trace = run_walks(DISK, (0.0, 0.0), cfg, 2, [k], record_trace=True)
-        assert np.array_equal(alone_trace[0], traces[row])
-        assert np.array_equal(alone.exit_points[0], batch.exit_points[row])
+        tr, exit_point, steps, truncated = trace_walk(DISK, (0.0, 0.0), cfg, 2, k)
+        assert tr.shape[0] == cap + 1 and steps == cap and truncated
+        assert np.array_equal(exit_point, batch.exit_points[row])
+
+
+@given(st.sampled_from(sorted(SHAPES)), st.sampled_from([BALL, SPHERE]), st.integers(1, 5),
+       st.integers(0, 2**40), st.integers(1, 9), st.integers(1, 64), st.booleans(),
+       st.one_of(st.just(10_000_000), st.integers(1, 300)),
+       st.one_of(st.none(), st.floats(0.05, 0.8)))
+@example(("ball", 2), BALL, 1, 1, 1, 64, True, 10_000_000, None)
+@example(("ball", 3), SPHERE, 2, 2, 2, 64, True, 10_000_000, 0.6)
+@example(("box", 3), BALL, 2, 3, 2, 40, False, 23, None)
+@example(("annulus", 3), BALL, 3, 0, 2, 64, False, 30, None)   # a refilled lane's cap
+@example(("annulus", 2), SPHERE, 2, 4, 1, 64, False, 10_000_000, None)
+@example(("punctured_ball", 3), BALL, 2, 5, 3, 64, True, 10_000_000, None)
+@example(("difference", 2), BALL, 3, 6, 2, 50, False, 150, 0.3)
+@example(("halfspaces", 2), SPHERE, 2, 7, 2, 64, True, 10_000_000, None)
+@settings(max_examples=25, deadline=None)
+def test_run_walks_matches_the_scalar_reference(key, kind, m, seed, lanes, prefetch,
+                                                 shared, cap, stop_radius):
+    # At eps 0.02 walks deep inside leap many steps per iteration, so caps
+    # and ring stops fall inside would-be leaps; lanes and blocks vary too.
+    # trace_walk shares no lane, block or leap code with the kernel.
+    domain = SHAPES[key]
+    cfg = WalkConfig(0.02, kind=kind, max_steps=cap)
+    idx = np.arange(m) * 3 + seed % 991
+    starts = _starts_inside(domain, m, seed)
+    if shared:
+        starts[:] = starts[0]
+    ring = None if stop_radius is None else (np.mean(domain.bounding_box(), axis=0),
+                                             stop_radius)
+    with mock.patch.object(walk, "_LANES", lanes), \
+            mock.patch.object(walk, "_PREFETCH_ROWS", prefetch):
+        batch = run_walks(domain, starts[0] if shared else starts, cfg, seed, idx, ring=ring)
+    for row in range(m):
+        _, exit_point, steps, truncated = trace_walk(domain, starts[row], cfg, seed,
+                                                     int(idx[row]), ring=ring)
+        assert np.array_equal(batch.exit_points[row], exit_point)
+        assert batch.steps[row] == steps
+        assert batch.truncated[row] == truncated
+
+
+def test_long_walks_leap(monkeypatch):
+    # Regularity-probe shape: walks start next to the boundary at a small
+    # eps, and once the short ones have exited, the long ones deep inside
+    # take many steps per iteration.
+    depths = []
+    take = walk._StepDraws.take
+
+    def spy(self, t, k=1):
+        w = take(self, t, k)
+        depths.append(w.shape[1])
+        return w
+
+    monkeypatch.setattr(walk._StepDraws, "take", spy)
+    cfg = WalkConfig(0.01)
+    batch = run_walks(DISK, (0.99, 0.0), cfg, 5, range(200))
+    assert max(depths) >= 2
+    # the longest walk alone takes more steps than the batch took iterations
+    assert len(depths) < batch.steps.max()
