@@ -5,10 +5,11 @@ data at the walk's exit location.  Estimates come with standard errors, and
 every sampling routine is bitwise deterministic for a given seed no matter
 how the work is split across threads: walk k always consumes stream
 ``stream_base + k``, chunk statistics are pure functions of the chunk index,
-and chunks are merged in index order.  Each kernel call runs a span of two
-consecutive chunks, whose walks share the kernel's refilled lanes.  This is
-the one module that fans walks out over threads; the diagnostics run their
-walks through exit_sample or estimate_field.
+and chunks are merged in index order.  A kernel call runs a span: two chunks
+of one point, fanned out over threads, or as many whole points of at most
+half a span as fit, run in order (two such spans at once cost 18% more peak
+memory).  This is the one module that fans walks out over threads; the
+diagnostics run their walks through exit_sample or estimate_field.
 """
 
 from __future__ import annotations
@@ -79,13 +80,9 @@ class Coordinate(BoundaryData):
     def eval(self, points) -> float | _Array:
         a = np.asarray(points, dtype=np.float64)
         k = self.index - 1
-        if a.ndim == 1:
-            if k >= a.shape[0]:
-                raise ValueError(f"coordinate {self.index} out of range for dimension {a.shape[0]}")
-            return float(a[k])
-        if k >= a.shape[1]:
-            raise ValueError(f"coordinate {self.index} out of range for dimension {a.shape[1]}")
-        return a[:, k].copy()
+        if k >= a.shape[-1]:
+            raise ValueError(f"coordinate {self.index} out of range for dimension {a.shape[-1]}")
+        return float(a[k]) if a.ndim == 1 else a[:, k].copy()
 
 
 class DistanceTo(BoundaryData):
@@ -232,16 +229,18 @@ def _stream_range(stream_base: int, lo: int, hi: int) -> NDArray[np.uint64]:
     return np.arange(first, first + (hi - lo), dtype=np.uint64)
 
 
-def _map_chunks(worker, n: int, threads: int) -> list:
-    """Run worker(lo, hi) over fixed spans of _SPAN_CHUNKS chunks, returning
-    results in span order.  Span boundaries fall on chunk boundaries."""
-    span = _SPAN_CHUNKS * _CHUNK
-    ranges = [(lo, min(lo + span, n)) for lo in range(0, n, span)]
-    if threads <= 1 or len(ranges) <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
+def _spans(n: int) -> list[tuple[int, int]]:
+    """Walks [0, n) cut into spans of _SPAN_CHUNKS chunks."""
+    return [(lo, min(lo + _SPAN_CHUNKS * _CHUNK, n)) for lo in range(0, n, _SPAN_CHUNKS * _CHUNK)]
+
+
+def _map_chunks(worker, tasks: list[tuple], threads: int) -> list:
+    """Run worker(*task) for every task on up to ``threads`` threads,
+    returning the results in task order."""
+    if threads <= 1 or len(tasks) <= 1:
+        return [worker(*task) for task in tasks]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+        return list(pool.map(lambda task: worker(*task), tasks))
 
 
 def _merge_moments(stats: list[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -307,7 +306,7 @@ def exit_sample(
         return run_walks(domain, starts, config, master_seed,
                          _stream_range(stream_base, lo, hi), ring=ring)
 
-    parts = _map_chunks(worker, n_walks, threads)
+    parts = _map_chunks(worker, _spans(n_walks), threads)
     return WalkBatch(
         exit_points=np.concatenate([p.exit_points for p in parts], axis=0),
         steps=np.concatenate([p.steps for p in parts]),
@@ -326,29 +325,16 @@ def estimate_value(
     stream_base: int = 0,
     threads: int = 1,
 ) -> Estimate:
-    """Estimate the solution at x0 as the mean of F over simulated exits."""
+    """Estimate the solution at x0 as the mean of F over simulated exits:
+    the one-point case of estimate_field."""
     n_walks = _count(n_walks, "n_walks", 2)
-    threads = _count(threads, "threads")
-    stream_base = _check_streams(stream_base, n_walks)
-
-    def worker(lo: int, hi: int) -> list[tuple[tuple[int, float, float], int]]:
-        batch = run_walks(domain, x0, config, master_seed, _stream_range(stream_base, lo, hi))
-        parts = []
-        for a in range(0, hi - lo, _CHUNK):     # lo is a chunk boundary
-            truncated = batch.truncated[a:a + _CHUNK]
-            exits = batch.exit_points[a:a + _CHUNK][~truncated]
-            values = np.asarray(data.eval(exits), dtype=np.float64)
-            parts.append((_chunk_moments(values), int(truncated.sum())))
-        return parts
-
-    parts = [part for span in _map_chunks(worker, n_walks, threads) for part in span]
-    truncated_count = sum(t for _, t in parts)
-    _require_sane_truncation(truncated_count, n_walks)
-    n_used, mean, m2 = _merge_moments([s for s, _ in parts])
-    if n_used == 0:
-        raise RuntimeError("all walks were truncated; nothing to average")
-    stderr = math.sqrt(m2 / (n_used - 1) / n_used) if n_used > 1 else math.nan
-    return Estimate(mean=mean, stderr=stderr, n=n_used, truncated_count=truncated_count)
+    x, one = _prep(x0, domain.dim)
+    if not one:
+        raise ValueError(f"got {x.shape[0]} start points for {n_walks} walks")
+    if not domain.contains(x)[0]:
+        raise ValueError("walks must start inside the open domain")
+    return estimate_field(domain, data, x, config, master_seed, n_walks,
+                          stream_base=stream_base, threads=threads).estimate_at(0)
 
 
 def estimate_field(
@@ -364,7 +350,8 @@ def estimate_field(
 ) -> FieldResult:
     """Estimate the solution at many points; point j owns walk streams
     stream_base + [j * n_walks, (j + 1) * n_walks), so adding or skipping
-    points never shifts another point's randomness."""
+    points never shifts another point's randomness.  The first point that
+    earns the truncation refusal raises it."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a (m, n) array")
@@ -374,28 +361,44 @@ def estimate_field(
     threads = _count(threads, "threads")
     m = pts.shape[0]
     stream_base = _check_streams(stream_base, m * n_walks)
-
     inside = domain.contains(pts)
-    means = np.full(m, np.nan)
-    stderrs = np.full(m, np.nan)
-    counts = np.zeros(m, dtype=np.int64)
-    truncated = np.zeros(m, dtype=np.int64)
-    skipped = tuple(int(j) for j in np.flatnonzero(~inside))
-    for j in range(m):
-        if not inside[j]:
-            continue
-        est = estimate_value(domain, data, pts[j], config, master_seed, n_walks,
-                             stream_base=stream_base + j * n_walks, threads=threads)
-        means[j] = est.mean
-        stderrs[j] = est.stderr
-        counts[j] = est.n
-        truncated[j] = est.truncated_count
-    for a in (means, stderrs, counts, truncated):
-        a.setflags(write=False)
+    rows = np.flatnonzero(inside)
+
+    def run(sel: slice, lo: int, hi: int) -> list:
+        # Chunk (moments, truncated count) of walks [lo, hi) of the points
+        # rows[sel], from one kernel call; lo is a chunk boundary.
+        x, w = pts[rows[sel]], hi - lo
+        idx = (stream_base + n_walks * rows[sel, None] + np.arange(lo, hi)).ravel()
+        batch = run_walks(domain, x[0] if len(x) == 1 else np.repeat(x, w, axis=0),
+                          config, master_seed, idx.astype(np.uint64))
+        parts = []
+        for e, t in zip(batch.exit_points.reshape(len(x), w, -1),
+                        batch.truncated.reshape(len(x), w)):
+            for a in range(0, w, _CHUNK):
+                cut = t[a:a + _CHUNK]
+                values = np.asarray(data.eval(e[a:a + _CHUNK][~cut]), dtype=np.float64)
+                parts.append((_chunk_moments(values), int(cut.sum())))
+        return parts
+
+    per = max(1, _SPAN_CHUNKS * _CHUNK // n_walks)     # whole points a span holds
+    tasks = [(slice(r, r + per), lo, hi) for r in range(0, rows.size, per)
+             for lo, hi in _spans(n_walks)]
+    parts = [part for s in _map_chunks(run, tasks, threads if per == 1 else 1) for part in s]
+    chunks = -(-n_walks // _CHUNK)     # per point, consecutive in parts
+    means, stderrs = np.full((2, m), np.nan)
+    counts, truncated = np.zeros((2, m), dtype=np.int64)
+    for j, a in zip(rows, range(0, len(parts), chunks)):
+        stats, cuts = zip(*parts[a:a + chunks])
+        _require_sane_truncation(sum(cuts), n_walks)
+        n_used, means[j], m2 = _merge_moments(stats)     # the refusal leaves n_used >= 2
+        stderrs[j] = math.sqrt(m2 / (n_used - 1) / n_used)
+        counts[j], truncated[j] = n_used, sum(cuts)
     out_pts = pts.copy()
-    out_pts.setflags(write=False)
+    for a in (out_pts, means, stderrs, counts, truncated):
+        a.setflags(write=False)
     return FieldResult(points=out_pts, means=means, stderrs=stderrs, counts=counts,
-                       truncated=truncated, skipped=skipped, n_walks=n_walks)
+                       truncated=truncated, skipped=tuple(np.flatnonzero(~inside).tolist()),
+                       n_walks=n_walks)
 
 
 def tietze_extend(anchor_points, anchor_values, x) -> float | _Array:
@@ -416,11 +419,8 @@ def tietze_extend(anchor_points, anchor_values, x) -> float | _Array:
     on_anchor = dist_a == 0.0
     out = np.empty(q.shape[0])
     off = ~on_anchor
-    if np.any(off):
-        cand = vals[None, :] + d[off] / dist_a[off, None] - 1.0
-        out[off] = cand.min(axis=1)
-    if np.any(on_anchor):
-        out[on_anchor] = vals[d[on_anchor].argmin(axis=1)]
+    out[off] = (vals[None, :] + d[off] / dist_a[off, None] - 1.0).min(axis=1)
+    out[on_anchor] = vals[d[on_anchor].argmin(axis=1)]
     return float(out[0]) if single else out
 
 

@@ -4,7 +4,11 @@ The two load-bearing properties here are exactness on constants and
 bitwise invariance of the reduction under any thread count; everything
 else is cross-checks against plain numpy statistics on the same exits.
 """
+import hashlib
 import math
+import pickle
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballwalk
-from ballwalk import analysis, estimator, walk
+from ballwalk import analysis, cli, estimator, walk
 from ballwalk import (
     Ball,
     Box,
@@ -282,6 +286,174 @@ def test_stream_range_edges(monkeypatch):
         estimate_field(DISK, Coordinate(1), [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)], CFG, 5,
                        20, stream_base=_AUX - 30)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# packed spans: estimate_field runs small points whole in shared kernel calls
+
+
+QUAD = HarmonicTrace(HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(pickle.dumps(obj, protocol=4)).hexdigest()
+
+
+# Point 2 is exterior.  With 40-walk chunks (80-walk spans), 30-walk points
+# are packed two to a span; 70- and 100-walk points keep their own spans,
+# cut into chunks of 40 + 30 and 40 + 40 + 20.
+_FIELD_POINTS = [(0.0, 0.0), (0.3, 0.2), (2.0, 0.0), (-0.4, 0.1), (0.1, -0.5)]
+
+
+def _pinned_field(n):
+    return lambda threads: estimate_field(DISK, QUAD, _FIELD_POINTS, CFG, 19, n, stream_base=7,
+                                          threads=threads)
+
+
+# Digests of the results of the per-point estimator that packing replaced,
+# computed before the change, with the chunk size each was run at.  Bits
+# depend on the numpy build and its CPU dispatch (see the README's numerical
+# contract), so they are checked only where a small walk batch reproduces
+# its pinned digest too.
+_CANARY = "46e8a0c70573cd15e6f3407e00798fbf7c2e4b449d962df54ecd6c02ad8dca98"
+_PINNED = {
+    "field30": ("9483a7939a5145830594bb8af3d172989c02521c0b364d5b7812c263c34582bf", 40,
+                _pinned_field(30)),
+    "field70": ("9cf0577727bc2826a87e3f86ca0ef39728ea182e816fb710dfc55aaae46f7951", 40,
+                _pinned_field(70)),
+    "field100": ("91f1e76c45ccd2ed29f14ae58a404e7ce3fef0ea6be447422aab9ae46a0b21db", 40,
+                 _pinned_field(100)),
+    "value": ("0ef9a8d9bbd976271e5a171db7773106e3a72205c58ef6e312ac7a2ab98c1861", 8192,
+              lambda threads: estimate_value(DISK, QUAD, (0.3, 0.4), CFG, 23, 100_000,
+                                             threads=threads)),
+    "mean_value": ("8d15fa00c84bdc3476f1f2bdf9adf9e158ac6277eb4d188bdba5faacb2a8f919", 8192,
+                   lambda threads: analysis.mean_value_residual(
+                       DISK, QUAD, (0.2, 0.1), WalkConfig(0.15), 16, 400, 3, threads=threads)),
+    "witness": ("7484d4c8f42e2de5f28fdd49a4a2a55da6a33e2655448a452c4e55a02cc36d91", 8192,
+                lambda threads: analysis.irregularity_witness(
+                    DISK, (1.0, 0.0), [0.1, 0.05], [0.05, 0.01], 200, 3, threads=threads)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_outputs_keep_their_pinned_digests_at_any_thread_count(name, monkeypatch):
+    canary = run_walks(DISK, (0.3, 0.2), CFG, 19, np.arange(7, 71))
+    if _sha(canary) != _CANARY:
+        pytest.skip("this numpy build or CPU gives other walk bits than the pinning machine")
+    digest, chunk, run = _PINNED[name]
+    monkeypatch.setattr(estimator, "_CHUNK", chunk)
+    for threads in (1, 2, 3):
+        assert _sha(run(threads)) == digest, threads
+
+
+def _spy_kernel(monkeypatch):
+    """Replace the estimator's kernel by one that records (stream indices,
+    start shape, thread) per call and returns every walk at its start."""
+    calls = []
+
+    def kernel(domain, x0, config, master_seed, stream_indices, **kwargs):
+        idx = np.asarray(stream_indices)
+        starts = np.asarray(x0, dtype=np.float64)
+        calls.append((idx.tolist(), starts.shape, threading.get_ident()))
+        exits = np.broadcast_to(starts, (idx.size, domain.dim)).copy()
+        return walk.WalkBatch(exits, np.ones(idx.size, dtype=np.int64),
+                              np.zeros(idx.size, dtype=bool))
+
+    monkeypatch.setattr(estimator, "run_walks", kernel)
+    return calls
+
+
+def test_field_void_grid_packs_its_points_into_four_kernel_calls(monkeypatch):
+    domain = ballwalk.parse_domain("diff(box(0,0,0;1,1,1), ball(0.5,0.5,0.5;0.3))")
+    pts = cli._grid_points(domain, (4, 4, 4))
+    inside = np.flatnonzero(domain.contains(pts))
+    assert inside.size == 56
+    calls = _spy_kernel(monkeypatch)
+    field = estimate_field(domain, Coordinate(1), pts, WalkConfig(0.1), 5, 1000, threads=2)
+    # 16 384 // 1000 = 16 points a span, each walk from its own point's start
+    # and on its own point's streams
+    assert [shape for _, shape, _ in calls] == [(16000, 3)] * 3 + [(8000, 3)]
+    assert [idx for idx, _, _ in calls] == [
+        [s for j in inside[k:k + 16] for s in range(j * 1000, (j + 1) * 1000)]
+        for k in (0, 16, 32, 48)]
+    # packed spans run in order on the calling thread, whatever ``threads``
+    assert {thread for _, _, thread in calls} == {threading.get_ident()}
+    # every exit is its start, so each interior point averages its own x
+    np.testing.assert_array_equal(field.means[inside], pts[inside, 0])
+    assert field.counts[inside].tolist() == [1000] * 56
+
+
+def test_one_large_point_keeps_spans_of_two_chunks(monkeypatch):
+    calls = _spy_kernel(monkeypatch)
+    est = estimate_value(DISK, Coordinate(1), (0.25, 0.0), CFG, 5, 65536, stream_base=3,
+                         threads=2)
+    assert sorted(call[:2] for call in calls) == [
+        (list(range(3 + k * 16384, 3 + (k + 1) * 16384)), (2,)) for k in range(4)]
+    assert (est.n, est.mean, est.stderr) == (65536, 0.25, 0.0)
+
+
+def test_points_above_half_a_span_fan_out_as_before(monkeypatch):
+    # Each interior point runs its own spans [0, 16384) and [16384, 20000)
+    # from its shared start, as when every point was its own estimate_value.
+    calls = _spy_kernel(monkeypatch)
+    pts = [(0.1, 0.0), (2.0, 0.0), (-0.3, 0.2)]
+    estimate_field(DISK, Coordinate(1), pts, CFG, 5, 20_000, threads=2)
+    spans = [(0, 16384), (16384, 20000), (40000, 56384), (56384, 60000)]
+    assert sorted(call[:2] for call in calls) == [(list(range(lo, hi)), (2,)) for lo, hi in spans]
+    # the spans run on pool threads
+    assert threading.get_ident() not in {thread for _, _, thread in calls}
+
+
+def _value(x0, n=10, cfg=CFG):
+    return lambda: estimate_value(DISK, Coordinate(1), x0, cfg, 3, n)
+
+
+def _field(points, n=10, cfg=CFG):
+    return lambda: estimate_field(DISK, Coordinate(1), points, cfg, 3, n)
+
+
+_CAPPED = WalkConfig(0.05, max_steps=5)
+_TRUNCATED = "100 of 100 walks hit the step cap (> 0.1%); raise max_steps or epsilon"
+# Each refusal as the per-point estimator gave it: type and whole message.
+_REFUSALS = {
+    "nan start": (_value((np.nan, 0.0)), ValueError, "coordinates must be finite"),
+    "infinite start": (_value((np.inf, 0.0)), ValueError, "coordinates must be finite"),
+    "nan point": (_field([(np.nan, 0.0)]), ValueError, "points must be finite"),
+    "exterior start": (_value((2.0, 0.0)), ValueError,
+                       "walks must start inside the open domain"),
+    "boundary start": (_value((1.0, 0.0)), ValueError,
+                       "walks must start inside the open domain"),
+    "3-D start": (_value((0.1, 0.0, 0.0)), ValueError,
+                  "dimension mismatch: domain is 2-dimensional, points have 3 coordinates"),
+    "1-D start": (_value((0.1,)), ValueError,
+                  "dimension mismatch: domain is 2-dimensional, points have 1 coordinates"),
+    "3-D points": (_field([(0.1, 0.0, 0.0)]), ValueError,
+                   "dimension mismatch: domain is 2-dimensional, points have 3 coordinates"),
+    "two starts": (_value([(0.1, 0.0), (0.2, 0.0)]), ValueError,
+                   "got 2 start points for 10 walks"),
+    "one-row start": (_value([(0.1, 0.0)]), ValueError, "got 1 start points for 10 walks"),
+    "nested start": (_value(np.zeros((1, 1, 2))), ValueError,
+                     "expected a point (n,) or a batch (m, n), got shape (1, 1, 2)"),
+    "empty points": (_field(np.zeros((0, 2))), ValueError, "points must be a (m, n) array"),
+    "1-D points": (_field((0.1, 0.0)), ValueError, "points must be a (m, n) array"),
+    "truncated value": (_value((0.0, 0.0), 100, _CAPPED), RuntimeError, _TRUNCATED),
+    "truncated field": (_field([(0.0, 0.0), (0.1, 0.0)], 100, _CAPPED), RuntimeError,
+                        _TRUNCATED),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_refusals_keep_their_type_and_message(case):
+    call, kind, message = _REFUSALS[case]
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_estimate_value_takes_one_start_point():
+    # A per-walk start array of n_walks rows is refused too: the estimate is
+    # of one point's value.
+    with pytest.raises(ValueError, match=r"^got 10 start points for 10 walks$"):
+        _value([(0.1, 0.0)] * 10)()
 
 
 # ---------------------------------------------------------------------------
