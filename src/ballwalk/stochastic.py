@@ -6,9 +6,21 @@ draw_index)``: a golden-ratio counter fed through a 64-bit finalizer
 addressable, any subset of walks can be generated in bulk, in any execution
 order, and reproduce bit-identical results on any number of workers.
 
-Gaussians use Box-Muller on two counter uniforms (deterministic, fixed draw
-budget per sample), directions are normalized Gaussian vectors, and ball
-radii apply the inverse CDF ``U**(1/n)``.
+In 2 and 3 dimensions the samplers are closed forms built only from
+counter uniforms and ``+ - * sqrt cos sin maximum``.  A 2-D direction is
+``(cos 2 pi u, sin 2 pi u)`` (1 draw) and a 2-D ball sample scales it by
+``sqrt(u')`` (2 draws).  A 3-D direction takes Archimedes' height
+``z = 2u - 1`` and ``(s cos 2 pi u', s sin 2 pi u', z)`` with
+``s = sqrt((1 - z)(1 + z))`` (2 draws), and a 3-D ball sample scales it by
+the largest of three uniforms, which has the law of ``U**(1/3)`` (5 draws).
+These operations round the same way at every CPU dispatch level of a numpy
+build, so 2-D and 3-D samples are bitwise identical across them.
+
+In 1 and 4 to 16 dimensions, Gaussians use Box-Muller on two counter
+uniforms (deterministic, fixed draw budget per sample), directions are
+normalized Gaussian vectors, and ball radii apply the inverse CDF
+``U**(1/n)``.  numpy's ``log`` and ``power`` round differently at different
+dispatch levels, so these samples are bitwise identical on one machine only.
 """
 
 from __future__ import annotations
@@ -86,12 +98,15 @@ def _to_unit(z: _U64, open_low: bool = False) -> _Array:
 
 def draws_per_sphere(n_dim: int) -> int:
     """Scalar draws consumed by one unit-sphere sample in n_dim dimensions."""
+    if n_dim in (2, 3):
+        return n_dim - 1
     return 2 * ((n_dim + 1) // 2)
 
 
 def draws_per_ball(n_dim: int) -> int:
-    """Scalar draws consumed by one unit-ball sample (sphere draws + radius)."""
-    return draws_per_sphere(n_dim) + 1
+    """Scalar draws consumed by one unit-ball sample (sphere draws + radius
+    draws: one, or three in 3-D)."""
+    return draws_per_sphere(n_dim) + (3 if n_dim == 3 else 1)
 
 
 def _uniform_rows(base: _U64, first_draw: _U64, count: int, pairs: int) -> _Array:
@@ -153,13 +168,56 @@ def _unit_directions(base: _U64, first_draw: _U64, n_dim: int, u: _Array) -> _Ar
     return g
 
 
+def _polar_directions(u: _Array, n_dim: int, radius: _Array | None = None) -> _Array:
+    """Unit rows (m, n_dim) for n_dim 2 or 3 from uniform rows ``u``, which
+    are consumed, each times its ``radius`` when one is given.
+
+    2-D: (cos a, sin a) with a = 2 pi u[0].  3-D: (s cos a, s sin a, z)
+    with z = 2 u[0] - 1, s = sqrt((1 - z)(1 + z)) and a = 2 pi u[1]; a
+    uniform height on [-1, 1) gives a uniform point on the sphere
+    (Archimedes).  Neither form can give the zero vector.  The radius is
+    applied column by column: broadcasting a (m, 1) factor over (m, n) rows
+    is several times slower.
+    """
+    ang = u[n_dim - 2]
+    ang *= 2.0 * np.pi
+    cols = [np.cos(ang)]
+    cols.append(np.sin(ang, out=ang))
+    if n_dim == 3:
+        z = u[0]
+        z *= 2.0
+        z -= 1.0
+        s = np.subtract(1.0, z)
+        s *= z + 1.0
+        np.sqrt(s, out=s)
+        for col in cols:
+            col *= s
+        cols.append(z)
+    g = np.empty((u.shape[1], n_dim))
+    for j, col in enumerate(cols):
+        if radius is None:
+            g[:, j] = col
+        else:
+            np.multiply(col, radius, out=g[:, j])
+    return g
+
+
 def _unit_sphere_from_base(base: _U64, first_draw: _U64, n_dim: int) -> _Array:
+    if n_dim in (2, 3):
+        u = _uniform_rows(base, first_draw, draws_per_sphere(n_dim), 0)
+        return _polar_directions(u, n_dim)
     pairs = (n_dim + 1) // 2
     u = _uniform_rows(base, first_draw, 2 * pairs, pairs)
     return _unit_directions(base, first_draw, n_dim, u)
 
 
 def _unit_ball_from_base(base: _U64, first_draw: _U64, n_dim: int) -> _Array:
+    if n_dim in (2, 3):
+        # The radius is sqrt(u) in 2-D and, in 3-D, the largest of three
+        # uniforms, whose law P(r <= x) = x**3 is that of U**(1/3).
+        u = _uniform_rows(base, first_draw, draws_per_ball(n_dim), 0)
+        radius = np.sqrt(u[1]) if n_dim == 2 else u[2:].max(axis=0)
+        return _polar_directions(u, n_dim, radius)
     pairs = (n_dim + 1) // 2
     u = _uniform_rows(base, first_draw, 2 * pairs + 1, pairs)
     radius = u[2 * pairs] ** (1.0 / n_dim)

@@ -21,7 +21,8 @@ from every walk's final position, _LANES rows per call; each shape's
 projection is row-wise, so this gives the same exits as projecting walks as
 they stop.  Outcomes are therefore independent of batch composition, lane
 count and block size, for every shape: running a walk alone, in a chunk, or
-under any thread count is bitwise identical on one machine and numpy build.
+under any thread count is bitwise identical on one machine and numpy build
+(in 2-D and 3-D, at every CPU dispatch level of that build).
 
 Safe leaps.  Every shape's signed distance is 1-Lipschitz (a max of exact
 distances, of unit-normal plane margins, or the box distance), and so is
@@ -157,7 +158,7 @@ class _StepDraws:
         self._bases = self._bases[keep]
         self._offsets = self._offsets[keep]
         if self._block is not None:
-            self._block = self._block[keep]
+            self._block = self._block.compress(keep, axis=0)
 
     def admit(self, lanes: NDArray[np.intp], walks: NDArray[np.intp], t: int) -> None:
         """Give ``lanes`` to ``walks``, whose step 0 is iteration t."""
@@ -174,7 +175,8 @@ class _StepDraws:
             live = self._bases.shape[0]
             depth = max(1, min(_PREFETCH_ROWS // live, self._horizon - t))
             first = self._offsets[:, None] + np.arange(t, t + depth, dtype=np.uint64) * self._per
-            w = self._sampler(np.repeat(self._bases, depth), first.ravel(), self._n_dim)
+            bases = self._bases if depth == 1 else np.repeat(self._bases, depth)
+            w = self._sampler(bases, first.ravel(), self._n_dim)
             block = w.reshape(live, depth, self._n_dim)
             self._block_t = t
         j = t - self._block_t
@@ -237,7 +239,9 @@ def run_walks(
     draws = _StepDraws(n, sphere, master_seed, idx, max_steps, lanes)
 
     # Lane state is kept compact (one row per lane, in ``alive`` order) and
-    # written to the outputs only when walks leave the batch.
+    # written to the outputs only when walks leave the batch.  Rows are
+    # gathered with compress and take: boolean and fancy row indexing of an
+    # (m, n) array is several times slower and copies the same values.
     cur = np.broadcast_to(starts, (m, n))[:lanes].copy()
     if ring is not None:
         center, ring_radius = _ring(ring, n)
@@ -264,7 +268,7 @@ def run_walks(
         refill = None
         if np.any(done):
             rows = alive[done]
-            final[rows] = cur[done]
+            final[rows] = cur.compress(done, axis=0)
             steps[rows] = t - steps[rows]
             compact = True
             if pending < m:
@@ -278,7 +282,7 @@ def run_walks(
                 alive = alive[keep]
                 if alive.size == 0:
                     break
-                cur = cur[keep]
+                cur = cur.compress(keep, axis=0)
                 dist = dist[keep]
                 draws.drop(keep)
         radius = np.minimum(eps, 0.5 * dist) if sphere else np.minimum(eps, dist)
@@ -311,7 +315,7 @@ def run_walks(
             pending += refill.size
             alive[refill] = walks
             steps[walks] = t
-            cur[refill] = starts[0] if shared else starts[walks]
+            cur[refill] = starts[0] if shared else starts.take(walks, axis=0)
             draws.admit(refill, walks, t)
 
     # Exits are projected after the loop, one call per _LANES rows, in place;

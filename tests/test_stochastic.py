@@ -61,9 +61,11 @@ def test_offset_equals_advanced():
 
 
 def test_draw_counts():
-    # one Gaussian pair per two dims, plus one radius draw for the ball
-    assert [draws_per_sphere(n) for n in (1, 2, 3, 4, 5)] == [2, 2, 4, 4, 6]
-    assert [draws_per_ball(n) for n in (1, 2, 3, 4, 5)] == [3, 3, 5, 5, 7]
+    # 2-D: an angle, plus a radius draw for the ball.  3-D: a height and an
+    # angle, plus three radius draws for the ball.  Other dimensions: one
+    # Gaussian pair per two dims, plus one radius draw for the ball.
+    assert [draws_per_sphere(n) for n in (1, 2, 3, 4, 5)] == [2, 1, 2, 4, 6]
+    assert [draws_per_ball(n) for n in (1, 2, 3, 4, 5)] == [3, 2, 5, 5, 7]
 
 
 @given(seeds, dims)
@@ -134,6 +136,26 @@ def test_ball_radius_ks():
         assert _ks_statistic(r_pow) < 1.9495 / np.sqrt(n)
 
 
+def test_2d_angle_ks():
+    # the polar angle of a uniform 2-D ball or sphere sample is uniform
+    n = 50_000
+    for sample in (sample_unit_ball, sample_unit_sphere):
+        w = sample(RngStream(12, 0), 2, count=n)
+        turn = np.arctan2(w[:, 1], w[:, 0]) / (2.0 * np.pi) + 0.5
+        assert _ks_statistic(turn) < 1.9495 / np.sqrt(n)
+
+
+def test_3d_height_ks():
+    # Archimedes: the height of a uniform point on the 2-sphere is uniform on
+    # [-1, 1], and so is that of a uniform ball sample's direction
+    n = 50_000
+    v = sample_unit_sphere(RngStream(13, 0), 3, count=n)
+    assert _ks_statistic((v[:, 2] + 1.0) / 2.0) < 1.9495 / np.sqrt(n)
+    w = sample_unit_ball(RngStream(13, 1), 3, count=n)
+    z = w[:, 2] / np.linalg.norm(w, axis=1)
+    assert _ks_statistic((z + 1.0) / 2.0) < 1.9495 / np.sqrt(n)
+
+
 def test_sphere_mean_near_zero():
     n = 100_000
     for n_dim in (2, 3, 5):
@@ -183,6 +205,38 @@ def _reference_ball(base, first, n_dim):
     return w * (_to_unit(zr) ** (1.0 / n_dim))[:, None]
 
 
+def _splitmix_uniforms(base, first, count):
+    """Uniforms of draws first + j, j < count, as columns (m, count), from
+    SplitMix64 written out here: the 53 top bits of
+    mix(base + (first + j + 1) * golden), times 2**-53."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    d = first[:, None] + np.arange(1, count + 1, dtype=np.uint64)[None, :]
+    z = base[:, None] + d * golden
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _closed_form_sphere(base, first, n_dim):
+    """2-D: (cos 2 pi u0, sin 2 pi u0).  3-D: z = 2 u0 - 1 and
+    (s cos 2 pi u1, s sin 2 pi u1, z) with s = sqrt((1 - z)(1 + z))."""
+    u = _splitmix_uniforms(base, first, n_dim - 1)
+    a = 2.0 * np.pi * u[:, -1]
+    if n_dim == 2:
+        return np.column_stack([np.cos(a), np.sin(a)])
+    z = 2.0 * u[:, 0] - 1.0
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    return np.column_stack([s * np.cos(a), s * np.sin(a), z])
+
+
+def _closed_form_ball(base, first, n_dim):
+    """The direction times sqrt(u1) in 2-D, or times max(u2, u3, u4) in 3-D."""
+    u = _splitmix_uniforms(base, first, 2 if n_dim == 2 else 5)
+    r = np.sqrt(u[:, 1]) if n_dim == 2 else u[:, 2:].max(axis=1)
+    return _closed_form_sphere(base, first, n_dim) * r[:, None]
+
+
 def _unxorshift(y, shift):
     x = y
     for _ in range(64 // shift + 1):
@@ -219,11 +273,15 @@ def test_samplers_match_the_row_major_formulas(n_dim):
     sphere = _unit_sphere_from_base(base, first, n_dim)
     ball = _unit_ball_from_base(base, first, n_dim)
     assert sphere.shape == ball.shape == (m, n_dim)
-    assert np.array_equal(sphere, _reference_directions(base, first, n_dim))
-    assert np.array_equal(ball, _reference_ball(base, first, n_dim))
+    if n_dim in (2, 3):
+        assert np.array_equal(sphere, _closed_form_sphere(base, first, n_dim))
+        assert np.array_equal(ball, _closed_form_ball(base, first, n_dim))
+    else:
+        assert np.array_equal(sphere, _reference_directions(base, first, n_dim))
+        assert np.array_equal(ball, _reference_ball(base, first, n_dim))
 
 
-@pytest.mark.parametrize("n_dim", [1, 2])
+@pytest.mark.parametrize("n_dim", [1])
 def test_zero_direction_is_redrawn(n_dim):
     first = np.array([0, 7, 123456789], dtype=np.uint64)
     crafted = np.array([_base_with_unit_first_draw(int(f)) for f in first], dtype=np.uint64)
@@ -239,6 +297,21 @@ def test_zero_direction_is_redrawn(n_dim):
     # the redraw reads the draws at first + _REDRAW_STRIDE
     redrawn = _unit_sphere_from_base(base[:3], first[:3] + _REDRAW_STRIDE, n_dim)
     assert np.array_equal(sphere[:3], redrawn)
+
+
+def test_2d_crafted_base_needs_no_redraw():
+    # The base that zeroes a Box-Muller radius gives the 2-D sampler its top
+    # uniform, an angle just short of 2 pi: a unit vector read at its own
+    # draws, not at first + _REDRAW_STRIDE.
+    first = np.array([0, 7, 123456789], dtype=np.uint64)
+    base = np.array([_base_with_unit_first_draw(int(f)) for f in first], dtype=np.uint64)
+    assert np.all(_to_unit(_draw_values(base, first)) == 1.0 - 2.0 ** -53)
+    sphere = _unit_sphere_from_base(base, first, 2)
+    assert np.array_equal(sphere, _closed_form_sphere(base, first, 2))
+    np.testing.assert_allclose(np.linalg.norm(sphere, axis=1), 1.0, rtol=1e-15)
+    assert sphere[:, 0].min() > 0.99
+    redrawn = _unit_sphere_from_base(base, first + _REDRAW_STRIDE, 2)
+    assert not np.any(np.all(sphere == redrawn, axis=1))
 
 
 @pytest.mark.parametrize("bad", [True, np.True_, 2.5, np.float64(3.9), float("nan"), float("inf")])

@@ -1,5 +1,8 @@
 """Walk engine invariants: exits land on the boundary, batching never
 changes results, step sizes respect the distance cap."""
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ballwalk
 from ballwalk import walk
 from ballwalk import (
     BALL,
@@ -483,3 +487,38 @@ def test_long_walks_leap(monkeypatch):
     assert max(depths) >= 2
     # the longest walk alone takes more steps than the batch took iterations
     assert len(depths) < batch.steps.max()
+
+
+# Digests of 2-D and 3-D ball and sphere walk batches, one line each.
+_WALK_DIGESTS = """
+import hashlib
+from ballwalk import Ball, Box, WalkConfig, run_walks
+
+def digests():
+    domains = {2: Ball((0.0, 0.0), 1.0), 3: Box((-1.0, -0.5, -0.2), (0.5, 1.0, 0.8))}
+    lines = []
+    for dim, domain in domains.items():
+        for kind in ("ball", "sphere"):
+            batch = run_walks(domain, (0.1,) * dim, WalkConfig(0.1, kind=kind), 31, range(1000))
+            h = hashlib.sha256(batch.exit_points.tobytes() + batch.steps.tobytes())
+            lines.append(f"{dim} {kind} {h.hexdigest()}")
+    return lines
+"""
+
+
+@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
+                                      "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
+def test_2d_and_3d_walks_keep_their_bits_at_lower_cpu_dispatch_levels(disabled):
+    # The closed-form 2-D and 3-D samplers use no log or power, whose numpy
+    # kernels round differently at each dispatch level, so a child process
+    # with the AVX-512 (and AVX2) kernels turned off walks the same bits.
+    # Where the CPU lacks a feature, turning it off changes nothing.
+    src = os.path.dirname(os.path.dirname(ballwalk.__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = _WALK_DIGESTS + "\nprint('\\n'.join(digests()))\n"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    here = {}
+    exec(_WALK_DIGESTS, here)
+    assert child.stdout.splitlines() == here["digests"]()
