@@ -253,6 +253,18 @@ def _boundary_scale(domain: Domain) -> float:
     return max(1.0, domain.diameter())
 
 
+def _binomial(success: NDArray[np.bool_],
+              truncated: NDArray[np.bool_]) -> tuple[float, float, int]:
+    """The success fraction p of the walks that were not truncated, its
+    binomial standard error sqrt(p (1 - p) / n_ok) and n_ok, after the
+    truncation refusal."""
+    _require_sane_truncation(int(truncated.sum()), truncated.size)
+    ok = ~truncated
+    n_ok = int(ok.sum())
+    p = float(success[ok].mean())
+    return p, math.sqrt(p * (1.0 - p) / n_ok), n_ok
+
+
 def estimate_regularity(
     domain: Domain,
     y0,
@@ -316,11 +328,7 @@ def estimate_regularity(
     probes = []
     for i, x0 in enumerate(starts):
         walks = slice(i * n_walks, (i + 1) * n_walks)
-        ok = ~batch.truncated[walks]
-        _require_sane_truncation(int(batch.truncated[walks].sum()), n_walks)
-        n_ok = int(ok.sum())
-        p = float(hits[walks][ok].mean())
-        stderr = math.sqrt(p * (1.0 - p) / n_ok)
+        p, stderr, n_ok = _binomial(hits[walks], batch.truncated[walks])
         probes.append(RegularityProbe(x0=x0, probability=p, stderr=stderr, n=n_ok))
     return RegularityReport(y0=y0, delta=delta, delta_hat=delta_hat,
                             epsilon=float(epsilon), probes=tuple(probes))
@@ -369,12 +377,8 @@ def estimate_escape_probability(
                         max_steps=max_steps)
     batch = exit_sample(domain, x0, config, master_seed, n_walks,
                         ring=(y0, delta), threads=threads)
-    _require_sane_truncation(int(batch.truncated.sum()), batch.truncated.size)
-    ok = ~batch.truncated
-    n_ok = int(ok.sum())
-    escaped = np.linalg.norm(batch.exit_points[ok] - y0, axis=1) >= delta
-    p = float(escaped.mean())
-    stderr = math.sqrt(p * (1.0 - p) / n_ok)
+    escaped = np.linalg.norm(batch.exit_points - y0, axis=1) >= delta
+    p, stderr, _ = _binomial(escaped, batch.truncated)
     return p, stderr
 
 

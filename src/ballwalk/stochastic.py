@@ -6,21 +6,21 @@ draw_index)``: a golden-ratio counter fed through a 64-bit finalizer
 addressable, any subset of walks can be generated in bulk, in any execution
 order, and reproduce bit-identical results on any number of workers.
 
-In 2 and 3 dimensions the samplers are closed forms built only from
-counter uniforms and ``+ - * sqrt cos sin maximum``.  A 2-D direction is
-``(cos 2 pi u, sin 2 pi u)`` (1 draw) and a 2-D ball sample scales it by
-``sqrt(u')`` (2 draws).  A 3-D direction takes Archimedes' height
-``z = 2u - 1`` and ``(s cos 2 pi u', s sin 2 pi u', z)`` with
-``s = sqrt((1 - z)(1 + z))`` (2 draws), and a 3-D ball sample scales it by
-the largest of three uniforms, which has the law of ``U**(1/3)`` (5 draws).
-These operations round the same way at every CPU dispatch level of a numpy
-build, so 2-D and 3-D samples are bitwise identical across them.
-
-In 1 and 4 to 16 dimensions, Gaussians use Box-Muller on two counter
-uniforms (deterministic, fixed draw budget per sample), directions are
-normalized Gaussian vectors, and ball radii apply the inverse CDF
-``U**(1/n)``.  numpy's ``log`` and ``power`` round differently at different
-dispatch levels, so these samples are bitwise identical on one machine only.
+Every sampler, in every dimension n <= 16, is one closed form built only
+from counter uniforms and ``+ - * sqrt cos sin min max copysign`` (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. V).  A 1-D direction is
+the sign of ``u - 1/2`` (1 draw).  An even-dimensional direction is ``n/2``
+planes ``(r cos 2 pi u, r sin 2 pi u)`` whose squared radii are the
+spacings of ``n/2 - 1`` sorted uniforms (n - 1 draws); in 2-D that is
+``(cos 2 pi u, sin 2 pi u)``.  An odd-dimensional direction puts last the
+height ``z = 2B - 1``, with ``B`` the median of ``n - 2`` uniforms, and
+scales the (n - 1)-dimensional direction of the next draws by
+``sqrt((1 - z)(1 + z))`` (2n - 4 draws); in 3-D that is Archimedes'
+uniform height.  A ball sample scales the direction by ``sqrt(u)`` in 2-D
+(2 draws) and otherwise by the largest of n uniforms, whose law is that of
+``U**(1/n)`` (n more draws).  These operations round the same way at every
+CPU dispatch level of a numpy build, so samples are bitwise identical
+across them.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ _U64 = NDArray[np.uint64]
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SEED_SALT = np.uint64(0xA3EC647659359ACD)
-# Draw-index offset used when a Gaussian direction degenerates to the zero
-# vector (probability ~2**-53 per Box-Muller pair); keeps redraws pure.
-_REDRAW_STRIDE = np.uint64(0x632BE59BD9B4E019)
 _INV_2_53 = 2.0 ** -53
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -88,32 +85,29 @@ def _draw_values(base: _U64, draw_indices: _U64) -> _U64:
     return _mix64(base + (draw_indices + np.uint64(1)) * _GOLDEN)
 
 
-def _to_unit(z: _U64, open_low: bool = False) -> _Array:
-    """Top 53 bits to a double in [0, 1), or (0, 1] when open_low (safe for log)."""
-    u = (z >> np.uint64(11)).astype(np.float64)
-    if open_low:
-        u = u + 1.0
-    return u * _INV_2_53
+def _to_unit(z: _U64) -> _Array:
+    """Top 53 bits to a double in [0, 1)."""
+    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def draws_per_sphere(n_dim: int) -> int:
-    """Scalar draws consumed by one unit-sphere sample in n_dim dimensions."""
-    if n_dim in (2, 3):
-        return n_dim - 1
-    return 2 * ((n_dim + 1) // 2)
+    """Scalar draws consumed by one unit-sphere sample in n_dim dimensions:
+    1 in 1-D, n - 1 for even n and 2n - 4 for odd n >= 3."""
+    if n_dim == 1:
+        return 1
+    return n_dim - 1 if n_dim % 2 == 0 else 2 * n_dim - 4
 
 
 def draws_per_ball(n_dim: int) -> int:
     """Scalar draws consumed by one unit-ball sample (sphere draws + radius
-    draws: one, or three in 3-D)."""
-    return draws_per_sphere(n_dim) + (3 if n_dim == 3 else 1)
+    draws: one in 2-D, n otherwise)."""
+    return draws_per_sphere(n_dim) + (1 if n_dim == 2 else n_dim)
 
 
-def _uniform_rows(base: _U64, first_draw: _U64, count: int, pairs: int) -> _Array:
+def _uniform_rows(base: _U64, first_draw: _U64, count: int) -> _Array:
     """Uniforms of draws first_draw + j, j < count, as rows (count, m).
 
-    Row j is _to_unit(_draw_values(base, first_draw + j)), open below for the
-    Box-Muller rows 0, 2, ..., 2 * pairs - 2 (safe for log).  The counters
+    Row j is _to_unit(_draw_values(base, first_draw + j)).  The counters
     base + (first_draw + 1 + j) * golden are built by one broadcast add and
     mixed in place.
     """
@@ -124,75 +118,82 @@ def _uniform_rows(base: _U64, first_draw: _U64, count: int, pairs: int) -> _Arra
     _mix64_inplace(z)
     np.right_shift(z, np.uint64(11), out=z)
     u = z.astype(np.float64)
-    u[0:2 * pairs:2] += 1.0
     u *= _INV_2_53
     return u
 
 
-def _gaussian_block(u: _Array, n_dim: int) -> _Array:
-    """Standard Gaussian rows (m, n_dim) via Box-Muller on uniform rows ``u``.
+def _sorted_rows(u: _Array) -> list[_Array]:
+    """The rows of ``u`` (consumed) sorted column by column, smallest first.
 
-    Pair i takes rows 2i and 2i + 1 of ``u``, which are consumed, and fills
-    columns 2i and 2i + 1 (the sine of an odd dimension's last pair is not
-    needed).
+    A bubble network of exact np.minimum/np.maximum compare-exchanges: on a
+    few rows it is several times faster than np.sort(axis=0).
     """
-    pairs = (n_dim + 1) // 2
-    half = n_dim // 2
-    r = u[0:2 * pairs:2]
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    ang = u[1:2 * pairs:2]
-    ang *= 2.0 * np.pi
-    g = np.empty((u.shape[1], n_dim))
-    np.multiply(r, np.cos(ang), out=g[:, 0::2].T)
-    np.multiply(r[:half], np.sin(ang[:half], out=ang[:half]), out=g[:, 1::2].T)
-    return g
+    rows = list(u)
+    spare = np.empty_like(u[0]) if len(rows) > 1 else None
+    for top in range(len(rows) - 1, 0, -1):
+        for i in range(top):
+            np.minimum(rows[i], rows[i + 1], out=spare)
+            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+            rows[i], spare = spare, rows[i]
+    return rows
 
 
-def _unit_directions(base: _U64, first_draw: _U64, n_dim: int, u: _Array) -> _Array:
-    """Normalized Gaussian rows from uniform rows ``u``; zero vectors are
-    redrawn at first_draw + attempt * _REDRAW_STRIDE."""
-    pairs = (n_dim + 1) // 2
-    g = _gaussian_block(u, n_dim)
-    norm = np.sqrt(np.einsum("ij,ij->i", g, g))
-    bad = norm == 0.0
-    attempt = np.uint64(0)
-    while np.any(bad):
-        attempt = attempt + np.uint64(1)
-        first = first_draw[bad] + attempt * _REDRAW_STRIDE
-        g[bad] = _gaussian_block(_uniform_rows(base[bad], first, 2 * pairs, pairs), n_dim)
-        norm[bad] = np.sqrt(np.einsum("ij,ij->i", g[bad], g[bad]))
-        bad = norm == 0.0
-    g /= norm[:, None]
-    return g
+def _directions(u: _Array, n_dim: int, radius: _Array | None = None) -> _Array:
+    """Unit rows (m, n_dim) from the draws_per_sphere(n_dim) uniform rows
+    ``u``, which are consumed, each times its ``radius`` when one is given.
 
-
-def _polar_directions(u: _Array, n_dim: int, radius: _Array | None = None) -> _Array:
-    """Unit rows (m, n_dim) for n_dim 2 or 3 from uniform rows ``u``, which
-    are consumed, each times its ``radius`` when one is given.
-
-    2-D: (cos a, sin a) with a = 2 pi u[0].  3-D: (s cos a, s sin a, z)
-    with z = 2 u[0] - 1, s = sqrt((1 - z)(1 + z)) and a = 2 pi u[1]; a
-    uniform height on [-1, 1) gives a uniform point on the sphere
-    (Archimedes).  Neither form can give the zero vector.  The radius is
-    applied column by column: broadcasting a (m, 1) factor over (m, n) rows
-    is several times slower.
+    1-D: the sign of u[0] - 1/2.  Even n = 2k: k planes
+    (r_i cos a_i, r_i sin a_i) with a_i = 2 pi u[i]; the r_i**2 are the
+    spacings of the k - 1 sorted rows that follow, which are Dirichlet(1, ...,
+    1) like the squared plane radii of a uniform point on the sphere.  Odd
+    n = 2k + 1: z = 2B - 1, where B is the k-th smallest of the first
+    2k - 1 rows, so B ~ Beta(k, k), the law of (1 + z) / 2 on the sphere;
+    the 2k-sphere of the next rows, scaled by s = sqrt((1 - z)(1 + z)),
+    gives the other coordinates, and z comes last.  A column is
+    (cos a_i * f_i) * radius with the plane factor f_i = r_i * s, absent
+    factors left out: 2-D is (cos 2 pi u, sin 2 pi u) and 3-D is
+    Archimedes' (s cos 2 pi u', s sin 2 pi u', z) with z = 2u - 1.  No form
+    can give the zero vector.  The radius is applied column by column:
+    broadcasting a (m, 1) factor over (m, n) rows is several times slower.
     """
-    ang = u[n_dim - 2]
-    ang *= 2.0 * np.pi
-    cols = [np.cos(ang)]
-    cols.append(np.sin(ang, out=ang))
-    if n_dim == 3:
+    k = n_dim // 2
+    odd = n_dim % 2 == 1
+    planes = u[2 * k - 1:] if odd and k else u
+    cols = []
+    for ang in planes[:k]:
+        ang *= 2.0 * np.pi
+        cols += [np.cos(ang), np.sin(ang, out=ang)]
+    factors: list[_Array | None] = [None] * k
+    if odd and k == 0:
         z = u[0]
+        z -= 0.5
+        np.copysign(1.0, z, out=z)
+    elif odd:
+        z = _sorted_rows(u[:2 * k - 1])[k - 1]
         z *= 2.0
         z -= 1.0
         s = np.subtract(1.0, z)
         s *= z + 1.0
         np.sqrt(s, out=s)
-        for col in cols:
-            col *= s
+        factors = [s] * k
+    if k > 1:
+        cuts = _sorted_rows(planes[k:])
+        r = cuts + [np.subtract(1.0, cuts[-1])]
+        for i in range(k - 2, 0, -1):
+            r[i] -= r[i - 1]
+        for ri in r:
+            np.sqrt(ri, out=ri)
+            if odd:
+                ri *= s
+        factors = r
+    for i, f in enumerate(factors):
+        if f is not None:
+            cols[2 * i] *= f
+            cols[2 * i + 1] *= f
+    if odd:
         cols.append(z)
+    # The output is allocated after the columns: allocated first, it doubled
+    # the minor page faults of a 3-D field run and cost it about 9%.
     g = np.empty((u.shape[1], n_dim))
     for j, col in enumerate(cols):
         if radius is None:
@@ -203,27 +204,16 @@ def _polar_directions(u: _Array, n_dim: int, radius: _Array | None = None) -> _A
 
 
 def _unit_sphere_from_base(base: _U64, first_draw: _U64, n_dim: int) -> _Array:
-    if n_dim in (2, 3):
-        u = _uniform_rows(base, first_draw, draws_per_sphere(n_dim), 0)
-        return _polar_directions(u, n_dim)
-    pairs = (n_dim + 1) // 2
-    u = _uniform_rows(base, first_draw, 2 * pairs, pairs)
-    return _unit_directions(base, first_draw, n_dim, u)
+    return _directions(_uniform_rows(base, first_draw, draws_per_sphere(n_dim)), n_dim)
 
 
 def _unit_ball_from_base(base: _U64, first_draw: _U64, n_dim: int) -> _Array:
-    if n_dim in (2, 3):
-        # The radius is sqrt(u) in 2-D and, in 3-D, the largest of three
-        # uniforms, whose law P(r <= x) = x**3 is that of U**(1/3).
-        u = _uniform_rows(base, first_draw, draws_per_ball(n_dim), 0)
-        radius = np.sqrt(u[1]) if n_dim == 2 else u[2:].max(axis=0)
-        return _polar_directions(u, n_dim, radius)
-    pairs = (n_dim + 1) // 2
-    u = _uniform_rows(base, first_draw, 2 * pairs + 1, pairs)
-    radius = u[2 * pairs] ** (1.0 / n_dim)
-    w = _unit_directions(base, first_draw, n_dim, u)
-    w *= radius[:, None]
-    return w
+    # The radius is sqrt(u) in 2-D and otherwise the largest of n uniforms,
+    # whose law P(r <= x) = x**n is that of U**(1/n).
+    per = draws_per_sphere(n_dim)
+    u = _uniform_rows(base, first_draw, draws_per_ball(n_dim))
+    radius = np.sqrt(u[per]) if n_dim == 2 else u[per:].max(axis=0)
+    return _directions(u[:per], n_dim, radius)
 
 
 @dataclass(frozen=True)

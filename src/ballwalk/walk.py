@@ -22,7 +22,7 @@ projection is row-wise, so this gives the same exits as projecting walks as
 they stop.  Outcomes are therefore independent of batch composition, lane
 count and block size, for every shape: running a walk alone, in a chunk, or
 under any thread count is bitwise identical on one machine and numpy build
-(in 2-D and 3-D, at every CPU dispatch level of that build).
+and at every CPU dispatch level of that build.
 
 Safe leaps.  Every shape's signed distance is 1-Lipschitz (a max of exact
 distances, of unit-normal plane margins, or the box distance), and so is

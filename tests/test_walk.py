@@ -496,6 +496,7 @@ from ballwalk import Ball, Box, WalkConfig, run_walks
 
 def digests():
     domains = {2: Ball((0.0, 0.0), 1.0), 3: Box((-1.0, -0.5, -0.2), (0.5, 1.0, 0.8))}
+    domains.update((dim, Ball((0.0,) * dim, 1.0)) for dim in (1, 4, 5, 16))
     lines = []
     for dim, domain in domains.items():
         for kind in ("ball", "sphere"):
@@ -508,11 +509,12 @@ def digests():
 
 @pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
                                       "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
-def test_2d_and_3d_walks_keep_their_bits_at_lower_cpu_dispatch_levels(disabled):
-    # The closed-form 2-D and 3-D samplers use no log or power, whose numpy
+def test_walks_keep_their_bits_at_lower_cpu_dispatch_levels(disabled):
+    # The samplers of every dimension use no log or power, whose numpy
     # kernels round differently at each dispatch level, so a child process
-    # with the AVX-512 (and AVX2) kernels turned off walks the same bits.
-    # Where the CPU lacks a feature, turning it off changes nothing.
+    # with the AVX-512 (and AVX2) kernels turned off walks the same bits in
+    # 1, 2, 3, 4, 5 and 16 dimensions.  Where the CPU lacks a feature,
+    # turning it off changes nothing.
     src = os.path.dirname(os.path.dirname(ballwalk.__file__))
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
