@@ -288,6 +288,59 @@ def test_samplers_match_the_row_major_formulas(n_dim):
         assert np.array_equal(ball, _closed_form_ball(base, first, n_dim))
 
 
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64(z):
+    """Inverse of the SplitMix64 finalizer on Python ints."""
+    z = _unxorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = _unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return _unxorshift(z, 30)
+
+
+def _base_with_top_first_draw(first):
+    """A stream base whose draw ``first`` is 2**64 - 1, the top uniform
+    1 - 2**-53, which zeroed the first pair of a Box-Muller sampler."""
+    counter = _unmix64(2**64 - 1)
+    return (counter - (first + 1) * 0x9E3779B97F4A7C15) % 2**64
+
+
+@pytest.mark.parametrize("n_dim", range(1, 17))
+def test_zero_direction_is_redrawn(n_dim):
+    # No dimension's sampler can give a zero direction, so none redraws: the
+    # crafted rows, among ordinary ones, give unit directions read at their
+    # own draws, as the row-major reference does.
+    first = np.array([0, 7, 123456789], dtype=np.uint64)
+    crafted = np.array([_base_with_top_first_draw(int(f)) for f in first], dtype=np.uint64)
+    assert np.all(_splitmix_uniforms(crafted, first, 1)[:, 0] == 1.0 - 2.0 ** -53)
+    base = np.concatenate([crafted, np.arange(1, 6, dtype=np.uint64) * np.uint64(977)])
+    first = np.concatenate([first, np.arange(5, dtype=np.uint64) * np.uint64(3)])
+    sphere = _unit_sphere_from_base(base, first, n_dim)
+    ball = _unit_ball_from_base(base, first, n_dim)
+    assert np.array_equal(sphere, _order_statistic_sphere(base, first, n_dim))
+    assert np.array_equal(ball, _order_statistic_ball(base, first, n_dim))
+    np.testing.assert_allclose(np.linalg.norm(sphere, axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_2d_crafted_base_needs_no_redraw():
+    # The base whose first draw is the top uniform gives the 2-D sampler an
+    # angle just short of 2 pi: a unit vector read at its own draws.
+    first = np.array([0, 7, 123456789], dtype=np.uint64)
+    base = np.array([_base_with_top_first_draw(int(f)) for f in first], dtype=np.uint64)
+    assert np.all(_splitmix_uniforms(base, first, 1)[:, 0] == 1.0 - 2.0 ** -53)
+    sphere = _unit_sphere_from_base(base, first, 2)
+    assert np.array_equal(sphere, _closed_form_sphere(base, first, 2))
+    assert np.array_equal(_unit_ball_from_base(base, first, 2), _closed_form_ball(base, first, 2))
+    np.testing.assert_allclose(np.linalg.norm(sphere, axis=1), 1.0, rtol=1e-15)
+    assert sphere[:, 0].min() > 0.99
+
+
 def test_extreme_uniform_rows_give_finite_unit_rows(monkeypatch):
     # Every draw at the bottom or the top of [0, 1): no dimension's sampler
     # can give a zero, non-finite or non-unit direction, so none redraws.

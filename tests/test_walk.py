@@ -489,16 +489,16 @@ def test_long_walks_leap(monkeypatch):
     assert len(depths) < batch.steps.max()
 
 
-# Digests of 2-D and 3-D ball and sphere walk batches, one line each.
+# Digests of ball and sphere walk batches in the given dimensions, one line
+# each: a 2-D disk, a 3-D box and balls in every other dimension.
 _WALK_DIGESTS = """
 import hashlib
 from ballwalk import Ball, Box, WalkConfig, run_walks
 
-def digests():
-    domains = {2: Ball((0.0, 0.0), 1.0), 3: Box((-1.0, -0.5, -0.2), (0.5, 1.0, 0.8))}
-    domains.update((dim, Ball((0.0,) * dim, 1.0)) for dim in (1, 4, 5, 16))
+def digests(dims):
     lines = []
-    for dim, domain in domains.items():
+    for dim in dims:
+        domain = Box((-1.0, -0.5, -0.2), (0.5, 1.0, 0.8)) if dim == 3 else Ball((0.0,) * dim, 1.0)
         for kind in ("ball", "sphere"):
             batch = run_walks(domain, (0.1,) * dim, WalkConfig(0.1, kind=kind), 31, range(1000))
             h = hashlib.sha256(batch.exit_points.tobytes() + batch.steps.tobytes())
@@ -507,20 +507,30 @@ def digests():
 """
 
 
-@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
-                                      "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
-def test_walks_keep_their_bits_at_lower_cpu_dispatch_levels(disabled):
+def _child_walks_the_same_bits(disabled, dims):
     # The samplers of every dimension use no log or power, whose numpy
     # kernels round differently at each dispatch level, so a child process
-    # with the AVX-512 (and AVX2) kernels turned off walks the same bits in
-    # 1, 2, 3, 4, 5 and 16 dimensions.  Where the CPU lacks a feature,
-    # turning it off changes nothing.
+    # with the AVX-512 (and AVX2) kernels turned off walks the same bits.
+    # Where the CPU lacks a feature, turning it off changes nothing.
     src = os.path.dirname(os.path.dirname(ballwalk.__file__))
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = _WALK_DIGESTS + "\nprint('\\n'.join(digests()))\n"
+    code = _WALK_DIGESTS + f"\nprint('\\n'.join(digests({dims!r})))\n"
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True)
     here = {}
     exec(_WALK_DIGESTS, here)
-    assert child.stdout.splitlines() == here["digests"]()
+    assert child.stdout.splitlines() == here["digests"](dims)
+
+
+_DISABLED = ["AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3"]
+
+
+@pytest.mark.parametrize("disabled", _DISABLED)
+def test_2d_and_3d_walks_keep_their_bits_at_lower_cpu_dispatch_levels(disabled):
+    _child_walks_the_same_bits(disabled, (2, 3))
+
+
+@pytest.mark.parametrize("disabled", _DISABLED)
+def test_1d_and_4d_to_16d_walks_keep_their_bits_at_lower_cpu_dispatch_levels(disabled):
+    _child_walks_the_same_bits(disabled, (1, 4, 5, 16))
