@@ -351,7 +351,8 @@ def estimate_escape_probability(
 
     The excursion is sup over the path of |x_t - y0| including the start, so
     |x0 - y0| >= delta returns (1.0, 0.0) exactly and delta >= |x0 - y0| +
-    diam(D) returns (0.0, 0.0) exactly, both without simulation.  Escape is
+    diam(D) returns (0.0, 0.0) exactly, both without simulation but after
+    x0 and the walk parameters are checked like any other call's.  Escape is
     a ring stop at (y0, delta): a walk escapes when its first position at
     distance delta or more from y0 comes no later than its boundary stop, so
     an escaped walk is never truncated.  Walk k uses stream k.  Under a
@@ -365,16 +366,16 @@ def estimate_escape_probability(
         raise ValueError(f"delta must be positive, got {delta}")
     n_walks = _count(n_walks, "n_walks")
     threads = _count(threads, "threads")
+    if not domain.contains(x0):
+        raise ValueError("x0 must lie inside the open domain")
+    config = WalkConfig(epsilon=epsilon, stop_tolerance=stop_tolerance,
+                        max_steps=max_steps)
     # The row-wise norm of the ring stop's test at iteration 0, bit for bit.
     start_distance = float(np.linalg.norm((x0 - y0)[None, :], axis=1)[0])
     if start_distance >= delta:
         return 1.0, 0.0
     if delta >= start_distance + domain.diameter():
         return 0.0, 0.0
-    if not domain.contains(x0):
-        raise ValueError("x0 must lie inside the open domain")
-    config = WalkConfig(epsilon=epsilon, stop_tolerance=stop_tolerance,
-                        max_steps=max_steps)
     batch = exit_sample(domain, x0, config, master_seed, n_walks,
                         ring=(y0, delta), threads=threads)
     escaped = np.linalg.norm(batch.exit_points - y0, axis=1) >= delta

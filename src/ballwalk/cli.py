@@ -315,13 +315,13 @@ def _run_field(config: RunConfig) -> _Report:
     wc = _walk_config(config)
     data = parse_boundary_data(config.data)
     points = _grid_points(domain, config.grid)
+    if config.svg and domain.dim != 2:
+        raise ValueError("--svg requires a 2-D domain")
+    if config.svg and not config.out:
+        raise ValueError("--svg requires --out to name the report file")
     field = estimate_field(domain, data, points, wc, config.seed, config.walks,
                            threads=config.threads)
     if config.svg:
-        if domain.dim != 2:
-            raise ValueError("--svg requires a 2-D domain")
-        if not config.out:
-            raise ValueError("--svg requires --out to name the report file")
         k1, k2 = config.grid
         cells = field.means.reshape(k1, k2).T
         svg_path = os.path.splitext(config.out)[0] + ".svg"

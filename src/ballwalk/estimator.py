@@ -7,7 +7,7 @@ how the work is split across threads: walk k always consumes stream
 ``stream_base + k``, chunk statistics are pure functions of the chunk index,
 and chunks are merged in index order.  A kernel call runs a span: two chunks
 of one point, fanned out over threads, or as many whole points of at most
-half a span as fit, run in order (two such spans at once cost 18% more peak
+half a span as fit, run in order (two such spans at once cost 13% more peak
 memory).  This is the one module that fans walks out over threads; the
 diagnostics run their walks through exit_sample or estimate_field.
 """

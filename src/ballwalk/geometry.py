@@ -343,7 +343,7 @@ class HalfspaceIntersection(Domain):
         self.dim = normals.shape[1]
         self.normals.setflags(write=False)
         self.offsets.setflags(write=False)
-        self._anchor, self._inradius = self._chebyshev_center()
+        self._anchor = self._chebyshev_center()
         self._bbox_lo, self._bbox_hi = self._solve_bbox()
         scale = float(np.max(np.abs(np.concatenate([self._bbox_lo, self._bbox_hi])), initial=1.0))
         self._nudge = 16.0 * _EPS * max(1.0, scale)
@@ -351,7 +351,7 @@ class HalfspaceIntersection(Domain):
     def __repr__(self) -> str:
         return f"HalfspaceIntersection({self.normals.shape[0]} halfspaces, dim={self.dim})"
 
-    def _chebyshev_center(self) -> tuple[_Array, float]:
+    def _chebyshev_center(self) -> _Array:
         from scipy.optimize import linprog
 
         k, n = self.normals.shape
@@ -363,7 +363,7 @@ class HalfspaceIntersection(Domain):
             raise ValueError("halfspace intersection is unbounded")
         if not res.success or res.x[-1] <= 0.0:
             raise ValueError("halfspace intersection has empty interior")
-        return res.x[:n].copy(), float(res.x[-1])
+        return res.x[:n].copy()
 
     def _solve_bbox(self) -> tuple[_Array, _Array]:
         from scipy.optimize import linprog

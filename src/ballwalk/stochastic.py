@@ -57,7 +57,7 @@ def _as_u64(values, name: str) -> _U64:
     return np.atleast_1d(out)
 
 
-def _mix64_inplace(z: _U64) -> _U64:
+def _mix64(z: _U64) -> _U64:
     """The SplitMix64 finalizer applied to ``z`` in place; returns ``z``."""
     tmp = np.empty_like(z)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
@@ -69,25 +69,13 @@ def _mix64_inplace(z: _U64) -> _U64:
     return z
 
 
-def _mix64(z: _U64) -> _U64:
-    return _mix64_inplace(np.array(z, dtype=np.uint64))
-
-
 def _stream_base(master_seed: int, stream_indices) -> _U64:
     """Per-stream 64-bit state root; a pure hash of (master_seed, stream_index)."""
     seed = _as_u64(master_seed, "master_seed")
     idx = _as_u64(stream_indices, "stream index")
+    # Each _mix64 argument is a fresh temporary, so mixing in place writes
+    # to no caller's array.
     return _mix64(_mix64(seed ^ _SEED_SALT) + idx * _GOLDEN)
-
-
-def _draw_values(base: _U64, draw_indices: _U64) -> _U64:
-    """Raw 64-bit value of draw j on each stream: mix64(base + (j+1)*golden)."""
-    return _mix64(base + (draw_indices + np.uint64(1)) * _GOLDEN)
-
-
-def _to_unit(z: _U64) -> _Array:
-    """Top 53 bits to a double in [0, 1)."""
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def draws_per_sphere(n_dim: int) -> int:
@@ -107,15 +95,17 @@ def draws_per_ball(n_dim: int) -> int:
 def _uniform_rows(base: _U64, first_draw: _U64, count: int) -> _Array:
     """Uniforms of draws first_draw + j, j < count, as rows (count, m).
 
-    Row j is _to_unit(_draw_values(base, first_draw + j)).  The counters
-    base + (first_draw + 1 + j) * golden are built by one broadcast add and
-    mixed in place.
+    This is the one map from a draw's address to its value.  Draw d of the
+    stream with root ``base`` is the top 53 bits of
+    mix64(base + (d + 1) * golden), all arithmetic mod 2**64, times 2**-53,
+    a double in [0, 1).  The counters of all rows are built by one broadcast
+    add and mixed in place.
     """
     z = np.empty((count, base.shape[0]), dtype=np.uint64)
     row0 = (first_draw + np.uint64(1)) * _GOLDEN
     row0 += base
     np.add(row0[None, :], (np.arange(count, dtype=np.uint64) * _GOLDEN)[:, None], out=z)
-    _mix64_inplace(z)
+    _mix64(z)
     np.right_shift(z, np.uint64(11), out=z)
     u = z.astype(np.float64)
     u *= _INV_2_53
@@ -233,8 +223,7 @@ class RngStream:
         """The next ``count`` uniform [0, 1) draws, starting at this offset."""
         count = _count(count, "count", 0)
         base = _stream_base(self.master_seed, self.stream_index)
-        d = _as_u64(self.offset, "offset") + np.arange(count, dtype=np.uint64)
-        return _to_unit(_draw_values(np.broadcast_to(base, d.shape), d))
+        return _uniform_rows(base, _as_u64(self.offset, "offset"), count)[:, 0]
 
     def advanced(self, count: int) -> "RngStream":
         """A copy of this stream with the draw offset moved forward by count."""

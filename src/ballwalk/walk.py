@@ -137,19 +137,18 @@ class _StepDraws:
     iterations for every lane, handed out one iteration at a time or, for a
     leap, several; rows of walks that leave are dropped from the block, and
     admitting a walk drops the whole block.  Block depth therefore changes
-    how many calls are made, never a sample.
+    how many calls are made, never a sample, and a block may reach past a
+    walk's step cap: those rows are drawn but never read.
     """
 
     def __init__(self, n_dim: int, sphere: bool, master_seed: int, stream_indices,
-                 max_steps: int, lanes: int):
+                 lanes: int):
         self._n_dim = n_dim
         self._sampler = _unit_sphere_from_base if sphere else _unit_ball_from_base
         self._per = np.uint64(draws_per_sphere(n_dim) if sphere else draws_per_ball(n_dim))
         self._all_bases = _stream_base(master_seed, stream_indices)
         self._bases = self._all_bases[:lanes].copy()
         self._offsets = np.zeros(lanes, dtype=np.uint64)
-        self._max_steps = max_steps
-        self._horizon = max_steps   # no lane steps at or past this iteration
         self._block: _Array | None = None   # (live, k, n): iterations block_t .. block_t + k - 1
         self._block_t = 0
 
@@ -164,7 +163,6 @@ class _StepDraws:
         """Give ``lanes`` to ``walks``, whose step 0 is iteration t."""
         self._bases[lanes] = self._all_bases[walks]
         self._offsets[lanes] = (-t * int(self._per)) % 2**64
-        self._horizon = t + self._max_steps
         self._block = None
 
     def take(self, t: int, k: int = 1) -> _Array:
@@ -173,7 +171,7 @@ class _StepDraws:
         block = self._block
         if block is None:
             live = self._bases.shape[0]
-            depth = max(1, min(_PREFETCH_ROWS // live, self._horizon - t))
+            depth = max(1, _PREFETCH_ROWS // live)
             first = self._offsets[:, None] + np.arange(t, t + depth, dtype=np.uint64) * self._per
             bases = self._bases if depth == 1 else np.repeat(self._bases, depth)
             w = self._sampler(bases, first.ravel(), self._n_dim)
@@ -236,7 +234,7 @@ def run_walks(
     # a sphere walk, whose radius is min(eps, dist / 2).
     margin = 2 if sphere else 1
     lanes = min(_LANES, m)
-    draws = _StepDraws(n, sphere, master_seed, idx, max_steps, lanes)
+    draws = _StepDraws(n, sphere, master_seed, idx, lanes)
 
     # Lane state is kept compact (one row per lane, in ``alive`` order) and
     # written to the outputs only when walks leave the batch.  Rows are

@@ -286,8 +286,20 @@ def test_escape_monotone_in_delta():
 
 
 def test_escape_needs_interior_start():
-    with pytest.raises(ValueError):
-        estimate_escape_probability(DISK, (1.0, 0.0), 0.5, (1.01, 0.0), 0.02, 10, 0)
+    # Checked before either closed-form shortcut: from (3, 0), delta 0.5 is
+    # already reached and delta 10 is out of reach.
+    for delta, x0 in ((0.5, (1.01, 0.0)), (0.5, (3.0, 0.0)), (10.0, (3.0, 0.0))):
+        with pytest.raises(ValueError, match="inside"):
+            estimate_escape_probability(DISK, (1.0, 0.0), delta, x0, 0.02, 10, 0)
+
+
+@pytest.mark.parametrize("delta", [0.05, 5.0])
+def test_escape_shortcuts_check_the_walk_config(delta):
+    with pytest.raises(ValueError, match="epsilon"):
+        estimate_escape_probability(DISK, (1.0, 0.0), delta, (0.9, 0.0), 1.5, 10, 0)
+    with pytest.raises(ValueError, match="max_steps"):
+        estimate_escape_probability(DISK, (1.0, 0.0), delta, (0.9, 0.0), 0.02, 10, 0,
+                                    max_steps=0)
 
 
 @pytest.mark.parametrize("n_walks, threads", [(2.7, 1), (0, 1), (10, 0), (10, -3), (10, 1.5)])

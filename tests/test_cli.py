@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ballwalk import estimator
 from ballwalk.cli import RunConfig, config_from_dict, emit_config, main, parse_config
 
 DISK_ARGS = ["--domain", "ball(0,0;1)", "--data", "coordinate(1)", "--x0", "0.3,0.4"]
@@ -181,6 +182,23 @@ def test_field_csv_and_svg(tmp_path):
     assert len([l for l in lines if not l.startswith("#")]) == 10  # header + 9 cells
     svg = (tmp_path / "field.svg").read_text()
     assert svg.count("<rect") == 9
+
+
+@pytest.mark.parametrize("domain, grid, out, message", [
+    ("box(0,0,0;1,1,1)", "3,3,3", True, "requires a 2-D domain"),
+    ("box(0,0;1,1)", "3,3", False, "requires --out"),
+])
+def test_field_refuses_svg_before_any_walk(domain, grid, out, message, tmp_path,
+                                           monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(estimator, "run_walks", lambda *a, **k: calls.append(a))
+    argv = ["field", "--domain", domain, "--data", "constant(1)", "--eps", "0.2",
+            "--walks", "20", "--grid", grid, "--svg"]
+    if out:
+        argv += ["--out", str(tmp_path / "field.json")]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("domain", ["annulus(0,0;0.5,1)", "ball(0,0;1)"])

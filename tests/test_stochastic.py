@@ -208,6 +208,30 @@ def _splitmix_uniforms(base, first, count):
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
+def _mix64_int(z):
+    """The SplitMix64 finalizer on Python ints."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed, idx, offset, count", [
+    (0, 0, 0, 5),
+    (42, 7, 11, 40),
+    (3, 2**60, 2**64 - 3, 9),              # draws wrap past 2**64
+    (2**63 + 1, 2**60 + 12345, 2**63, 3),
+    (-1, 2**64 - 1, 2**64 - 1, 2),
+])
+def test_uniforms_match_the_written_out_reference(seed, idx, offset, count):
+    # The stream base mix64(mix64(seed ^ salt) + idx * golden), written out
+    # on Python ints mod 2**64, and its draws from _splitmix_uniforms.
+    golden = 0x9E3779B97F4A7C15
+    base = _mix64_int((_mix64_int((seed % 2**64) ^ 0xA3EC647659359ACD) + idx * golden) % 2**64)
+    want = _splitmix_uniforms(np.array([base], dtype=np.uint64),
+                              np.array([offset], dtype=np.uint64), count)[0]
+    assert np.array_equal(RngStream(seed, idx, offset).uniforms(count), want)
+
+
 def _closed_form_sphere(base, first, n_dim):
     """2-D: (cos 2 pi u0, sin 2 pi u0).  3-D: z = 2 u0 - 1 and
     (s cos 2 pi u1, s sin 2 pi u1, z) with s = sqrt((1 - z)(1 + z))."""
