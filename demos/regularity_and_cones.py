@@ -24,8 +24,7 @@ for big_r in (0.5, 1.0, 2.0, 8.0):
     print(f"  {big_r:<5} {row}")
 
 # every boundary point of a ball supports a wide exterior cone
-cone = bw.Cone(y0, y0, 1.4, 1.0)
-big_r = bw.cone_parameters(cone)
+big_r = bw.cone_ratio(1.4)
 bound = bw.cone_bound_theta0(3, big_r)
 delta = 0.5
 delta_hat = delta / (4.0 + 2.0 * big_r)

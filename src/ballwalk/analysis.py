@@ -383,6 +383,22 @@ def estimate_escape_probability(
     return p, stderr
 
 
+def cone_ratio(half_angle: float) -> float:
+    """Shape ratio R = sin(half_angle) / (1 - sin(half_angle)) of an exterior cone.
+
+    R is the radius of the largest ball inscribed in the cone at unit
+    distance from the tip, the quantity cone_bound_theta0 needs.  A
+    half-angle whose sine rounds to 1 has no finite R and is refused.
+    """
+    half_angle = float(half_angle)
+    if not (math.isfinite(half_angle) and 0.0 < half_angle < math.pi / 2.0):
+        raise ValueError(f"half_angle must lie strictly between 0 and pi/2, got {half_angle}")
+    s = math.sin(half_angle)
+    if s == 1.0:
+        raise ValueError(f"half_angle {half_angle} is too close to pi/2 for a finite R")
+    return s / (1.0 - s)
+
+
 def cone_bound_theta0(n_dim: int, big_r: float) -> float:
     """Escape-probability bound from an exterior cone with shape ratio R.
 

@@ -25,9 +25,7 @@ from . import analysis, reporting
 from .estimator import estimate_field, estimate_value, exit_sample, parse_boundary_data
 from .geometry import Domain, _count, parse_domain
 from .oracle import PROBE_FUNCTIONS, parse_oracle
-# run_walks is not called here, but perfbench/tracer.py wraps ballwalk.cli.run_walks
-# as a layer boundary, so the name stays.
-from .walk import WalkConfig, run_walks, trace_walk  # noqa: F401
+from .walk import WalkConfig, trace_walk
 
 COMMANDS = ("solve", "field", "exitdist", "regularity", "escape", "cone",
             "check-mvp", "check-avg", "irregularity")

@@ -505,48 +505,6 @@ class Difference(Domain):
         return self.a.bounding_box()
 
 
-class Cone:
-    """Solid finite cone used to certify boundary regularity; not a walk domain."""
-
-    def __init__(self, tip, axis, half_angle: float, height: float):
-        self.tip = as_point(tip)
-        axis = np.array(as_point(axis))
-        if axis.shape != self.tip.shape:
-            raise ValueError("cone tip and axis must share a dimension")
-        norm = float(np.linalg.norm(axis))
-        if norm == 0.0:
-            raise ValueError("cone axis is degenerate (zero vector)")
-        axis /= norm
-        axis.setflags(write=False)
-        self.axis = axis
-        half_angle = float(half_angle)
-        if not (math.isfinite(half_angle) and 0.0 < half_angle < math.pi / 2.0):
-            raise ValueError(f"half_angle must lie strictly between 0 and pi/2, got {half_angle}")
-        self.half_angle = half_angle
-        height = float(height)
-        if not (math.isfinite(height) and height > 0.0):
-            raise ValueError(f"height must be positive and finite, got {height}")
-        self.height = height
-        self.dim = self.tip.shape[0]
-
-    def __repr__(self) -> str:
-        return (f"Cone(tip={self.tip.tolist()}, axis={self.axis.tolist()}, "
-                f"half_angle={self.half_angle}, height={self.height})")
-
-
-def cone_parameters(cone: Cone) -> float:
-    """Shape ratio R = sin(half_angle) / (1 - sin(half_angle)) of a cone.
-
-    R is the radius of the largest ball inscribed in the cone at unit
-    distance from the tip, the quantity the escape-probability bound needs.
-    A half-angle whose sine rounds to 1 has no finite R and is refused.
-    """
-    s = math.sin(cone.half_angle)
-    if s == 1.0:
-        raise ValueError(f"half_angle {cone.half_angle} is too close to pi/2 for a finite R")
-    return s / (1.0 - s)
-
-
 # --------------------------------------------------------------------------
 # One grammar for domain, oracle and boundary data expressions: name(groups)
 # with ',' between numbers and ';' between groups, as in ball(0,0;1); a file

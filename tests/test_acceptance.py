@@ -137,8 +137,7 @@ def test_criterion_6_cone_bound():
     )
 
     # a cone of half-angle 1.4 fits in the exterior of the unit ball at y0
-    cone = bw.Cone((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.4, 1.0)
-    big_r = bw.cone_parameters(cone)
+    big_r = bw.cone_ratio(1.4)
     bound = bw.cone_bound_theta0(3, big_r)
     delta = 0.5
     delta_hat = delta / (4.0 + 2.0 * big_r)

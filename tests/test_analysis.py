@@ -27,6 +27,7 @@ from ballwalk import (
     WalkConfig,
     averaging_residual,
     cone_bound_theta0,
+    cone_ratio,
     estimate_escape_probability,
     estimate_regularity,
     estimate_value,
@@ -328,6 +329,20 @@ def test_escape_equals_one_run_walks_batch(threads):
     p = float(escaped[ok].mean())
     assert 0.0 < p < 1.0
     assert got == (p, math.sqrt(p * (1.0 - p) / int(ok.sum())))
+
+
+def test_cone_ratio():
+    assert cone_ratio(0.5) == math.sin(0.5) / (1.0 - math.sin(0.5))
+    # R keeps the bits it had before cone_ratio took the half-angle directly
+    for half_angle, bits in [(0.5, "0x1.d787628afb149p-1"), (1.4, "0x1.0ee8b36b67f9fp+6"),
+                             (1.57, "0x1.80ff37882ee90p+21")]:
+        assert cone_ratio(half_angle).hex() == bits
+    for bad in (math.pi / 2.0, math.nan, 0.0, -0.5, math.inf):
+        with pytest.raises(ValueError, match="strictly between 0 and pi/2"):
+            cone_ratio(bad)
+    # sin rounds to 1 this close to pi/2, so R = s / (1 - s) has no float value
+    with pytest.raises(ValueError, match="too close to pi/2 for a finite R"):
+        cone_ratio(math.pi / 2.0 - 1e-9)
 
 
 def test_cone_bound_pinned_values():

@@ -337,6 +337,14 @@ _PINNED = {
     "witness": ("261a094e28b78bc6fdf987b5b8093bf952cc7d2fba8ddc6344f7080bd5b4f7f7", 8192,
                 lambda threads: analysis.irregularity_witness(
                     DISK, (1.0, 0.0), [0.1, 0.05], [0.05, 0.01], 200, 3, threads=threads)),
+    # three probes of 30 walks, one start per walk, in 80-walk spans that
+    # straddle probes
+    "regularity": ("81c3760aedf7a4231dad38792813db7313307ee9add597f45ed0df2ad8febb0d", 40,
+                   lambda threads: analysis.estimate_regularity(
+                       DISK, (1.0, 0.0), 0.5, 0.2, 0.2, 3, 30, 29, threads=threads)),
+    "escape": ("90cafa007b19792e313cbfe9d8725f17e0adf3dd17c6b332f7188a7aa24c31d0", 40,
+               lambda threads: analysis.estimate_escape_probability(
+                   DISK, (1.0, 0.0), 0.3, (0.8, 0.1), 0.2, 150, 31, threads=threads)),
 }
 
 

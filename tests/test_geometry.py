@@ -11,13 +11,11 @@ from ballwalk import (
     Annulus,
     Ball,
     Box,
-    Cone,
     Difference,
     DomainParseError,
     HalfspaceIntersection,
     PuncturedBall,
     as_point,
-    cone_parameters,
     parse_domain,
 )
 
@@ -178,26 +176,6 @@ def test_signed_distance_is_1_lipschitz(j, seed, gap):
     y = x + gap * rng.standard_normal(x.shape)
     bound = np.linalg.norm(x - y, axis=1) * (1.0 + 1e-12) + 1e-15
     assert np.all(np.abs(domain.signed_distance(x) - domain.signed_distance(y)) <= bound)
-
-
-def test_cone_construction_and_ratio():
-    cone = Cone((0.0, 0.0, 0.0), (0.0, 0.0, 2.0), 0.5, 1.5)
-    assert cone.dim == 3
-    assert np.allclose(cone.axis, [0.0, 0.0, 1.0])
-    assert cone_parameters(cone) == pytest.approx(
-        math.sin(0.5) / (1.0 - math.sin(0.5)), abs=1e-15
-    )
-    with pytest.raises(ValueError):
-        Cone((0.0, 0.0), (0.0, 0.0), 0.5, 1.0)
-    with pytest.raises(ValueError):
-        Cone((0.0, 0.0), (1.0, 0.0), math.pi / 2.0, 1.0)
-    with pytest.raises(ValueError):
-        Cone((0.0, 0.0), (1.0, 0.0), 0.5, 0.0)
-    # sin rounds to 1 this close to pi/2, so R = s / (1 - s) has no float value
-    near_flat = Cone((0.0, 0.0), (1.0, 0.0), math.pi / 2.0 - 1e-9, 1.0)
-    with pytest.raises(ValueError, match="too close to pi/2"):
-        cone_parameters(near_flat)
-    assert cone_parameters(Cone((0.0, 0.0), (1.0, 0.0), 1.57, 1.0)) > 1e6
 
 
 def test_parse_domain_forms():
