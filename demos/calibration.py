@@ -26,7 +26,7 @@ N_WALKS = 1024
 X0, X1 = (0.3, 0.4), (0.35, 0.4)
 
 disk = bw.Ball((0.0, 0.0), 1.0)
-data = bw.HarmonicTrace(bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))
+data = bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])
 truth = X0[0] ** 2 - X0[1] ** 2
 band = 4.0 * math.sqrt(0.95 * 0.05 / len(SEEDS))
 failed = False

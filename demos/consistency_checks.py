@@ -11,7 +11,7 @@
 import ballwalk as bw
 
 disk = bw.Ball((0.0, 0.0), 1.0)
-data = bw.HarmonicTrace(bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))
+data = bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])
 
 res, se = bw.mean_value_residual(disk, data, (0.2, 0.1), bw.WalkConfig(0.15),
                                  32, 2000, 3, threads=4)

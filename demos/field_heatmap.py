@@ -12,7 +12,7 @@ import ballwalk as bw
 
 here = os.path.dirname(os.path.abspath(__file__))
 square = bw.Box((0.0, 0.0), (1.0, 1.0))
-data = bw.HarmonicTrace(bw.HarmonicQuadratic([[0.0, 0.5], [0.5, 0.0]]))
+data = bw.HarmonicQuadratic([[0.0, 0.5], [0.5, 0.0]])
 
 k = 9
 centers = (np.arange(k) + 0.5) / k

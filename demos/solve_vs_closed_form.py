@@ -9,7 +9,7 @@ carries a confidence interval; the truth should land inside it roughly
 import ballwalk as bw
 
 disk = bw.Ball((0.0, 0.0), 1.0)
-data = bw.HarmonicTrace(bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))
+data = bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])
 
 for x0 in [(0.3, 0.4), (0.0, 0.0), (-0.5, 0.2)]:
     truth = x0[0] ** 2 - x0[1] ** 2

@@ -23,16 +23,9 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import (
-    AUX_STREAM_BASE,
-    BoundaryData,
-    DistanceTo,
-    _require_sane_truncation,
-    estimate_field,
-    exit_sample,
-)
+from .estimator import AUX_STREAM_BASE, _require_sane_truncation, estimate_field, exit_sample
 from .geometry import MAX_DIM, Domain, as_point, _count
-from .oracle import radial_profile
+from .oracle import BoundaryData, DistanceTo, radial_profile
 from .stochastic import RngStream, sample_unit_ball
 from .walk import WalkConfig
 
@@ -180,13 +173,13 @@ def averaging_residual(
     u(x) + epsilon^2 / (2 (N + 2)) * laplacian(u)(x) up to o(epsilon^2).
     Sampling is antithetic (each draw w is paired with -w), so odd Taylor
     terms cancel within each pair and linear u gives a residual at rounding
-    level with stderr ~ 0.
+    level with stderr ~ 0.  epsilon must lie in (0, 1), as for every walk.
     """
     x = as_point(x)
     n_dim = x.shape[0]
     epsilon = float(epsilon)
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     n_samples = _count(n_samples, "n_samples", 2)
     aux = RngStream(master_seed, AUX_STREAM_BASE)
     w = sample_unit_ball(aux, n_dim, n_samples)
@@ -488,8 +481,8 @@ def irregularity_witness(
     dist_list = [float(d) for d in np.atleast_1d(np.asarray(start_distances, dtype=np.float64))]
     if not eps_list or not dist_list:
         raise ValueError("need at least one epsilon and one start distance")
-    if any(d <= 0.0 for d in dist_list):
-        raise ValueError("start distances must be positive")
+    if not all(0.0 < d < math.inf for d in dist_list):
+        raise ValueError("start distances must be positive and finite")
     direction = _approach_direction(domain, y0, dist_list)
     data = DistanceTo(y0)
     starts = y0 + np.asarray(dist_list)[:, None] * direction

@@ -22,9 +22,9 @@ import typing
 import numpy as np
 
 from . import analysis, reporting
-from .estimator import estimate_field, estimate_value, exit_sample, parse_boundary_data
+from .estimator import estimate_field, estimate_value, exit_sample
 from .geometry import Domain, _count, parse_domain
-from .oracle import PROBE_FUNCTIONS, parse_oracle
+from .oracle import PROBE_FUNCTIONS, parse_boundary_data, parse_oracle
 from .walk import WalkConfig, trace_walk
 
 COMMANDS = ("solve", "field", "exitdist", "regularity", "escape", "cone",

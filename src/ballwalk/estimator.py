@@ -1,20 +1,20 @@
 """Monte Carlo estimators for the Dirichlet problem from simulated exits.
 
 The solution value at an interior point is the expectation of the boundary
-data at the walk's exit location.  Estimates come with standard errors, and
-every sampling routine is bitwise deterministic for a given seed no matter
-how the work is split across threads: walk k always consumes stream
-``stream_base + k``, chunk statistics are pure functions of the chunk index,
-and chunks are merged in index order.  A kernel call runs a span: two chunks
-of one point, fanned out over threads, or as many whole points of at most
-half a span as fit, run in order (two such spans at once cost 13% more peak
-memory).  This is the one module that fans walks out over threads; the
+data at the walk's exit location; the data are ``oracle.BoundaryData``
+objects, of which this module calls only ``eval``.  Estimates come with
+standard errors, and every sampling routine is bitwise deterministic for a
+given seed no matter how the work is split across threads: walk k always
+consumes stream ``stream_base + k``, chunk statistics are pure functions of
+the chunk index, and chunks are merged in index order.  A kernel call runs a
+span: two chunks of one point, fanned out over threads, or as many whole
+points of at most half a span as fit, run in order (two such spans at once
+cost 13% more peak memory).  This is the one module that fans walks out over threads; the
 diagnostics run their walks through exit_sample or estimate_field.
 """
 
 from __future__ import annotations
 
-import abc
 import concurrent.futures
 import dataclasses
 import math
@@ -22,8 +22,8 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Domain, as_point, _count, _parse_call, _prep, _TokenCursor
-from .oracle import _ORACLE_READERS, HarmonicOracle, _oracle_from
+from .geometry import Domain, _count, _prep
+from .oracle import BoundaryData
 from .walk import WalkBatch, WalkConfig, run_walks
 
 _Array = NDArray[np.float64]
@@ -42,126 +42,6 @@ _SPAN_CHUNKS = 2
 # Refuse estimates where more than this fraction of walks hit the step cap:
 # the truncation bias is no longer negligible against the standard error.
 MAX_TRUNCATED_FRACTION = 1e-3
-
-
-class BoundaryData(abc.ABC):
-    """Boundary values F, evaluated on batches of exit points."""
-
-    @abc.abstractmethod
-    def eval(self, points) -> float | _Array:
-        """F at a point (n,) or batch (m, n)."""
-
-
-class Constant(BoundaryData):
-    def __init__(self, value: float):
-        self.value = float(value)
-        if not math.isfinite(self.value):
-            raise ValueError(f"constant boundary value must be finite, got {value!r}")
-
-    def __repr__(self) -> str:
-        return f"Constant({self.value})"
-
-    def eval(self, points) -> float | _Array:
-        a = np.asarray(points, dtype=np.float64)
-        if a.ndim == 1:
-            return self.value
-        return np.full(a.shape[0], self.value)
-
-
-class Coordinate(BoundaryData):
-    """F(x) = x_k with 1-based index k."""
-
-    def __init__(self, index: int):
-        self.index = _count(index, "coordinate index")
-
-    def __repr__(self) -> str:
-        return f"Coordinate({self.index})"
-
-    def eval(self, points) -> float | _Array:
-        a = np.asarray(points, dtype=np.float64)
-        k = self.index - 1
-        if k >= a.shape[-1]:
-            raise ValueError(f"coordinate {self.index} out of range for dimension {a.shape[-1]}")
-        return float(a[k]) if a.ndim == 1 else a[:, k].copy()
-
-
-class DistanceTo(BoundaryData):
-    """F(x) = |x - p|."""
-
-    def __init__(self, point):
-        self.point = as_point(point)
-
-    def __repr__(self) -> str:
-        return f"DistanceTo({self.point.tolist()})"
-
-    def eval(self, points) -> float | _Array:
-        pts, single = _prep(points, self.point.shape[0])
-        d = np.linalg.norm(pts - self.point, axis=1)
-        return float(d[0]) if single else d
-
-
-class HarmonicTrace(BoundaryData):
-    """Boundary restriction of a known harmonic function.
-
-    With this data the estimator has a closed-form target: the harmonic
-    function's own value at the start point.
-    """
-
-    def __init__(self, oracle: HarmonicOracle):
-        if not isinstance(oracle, HarmonicOracle):
-            raise TypeError("HarmonicTrace wraps a HarmonicOracle")
-        self.oracle = oracle
-
-    def __repr__(self) -> str:
-        return f"HarmonicTrace({self.oracle!r})"
-
-    def eval(self, points) -> float | _Array:
-        return self.oracle.eval(points)
-
-
-class Tabulated(BoundaryData):
-    """Finite boundary samples, extended continuously via tietze_extend.
-
-    Exit points almost never coincide with a sample point, so evaluation off
-    the sample set uses the Hausdorff extension formula (see tietze_extend)
-    rather than nearest-neighbor snapping.
-    """
-
-    def __init__(self, points, values):
-        self.points, self.values = _anchors(points, values)
-
-    def __repr__(self) -> str:
-        return f"Tabulated({self.points.shape[0]} samples, dim={self.points.shape[1]})"
-
-    def eval(self, points) -> float | _Array:
-        return tietze_extend(self.points, self.values, points)
-
-
-def _data_from(name: str, args) -> BoundaryData:
-    """The boundary data called name, from its numeric groups or, for
-    tabulated, its path; any other name is an oracle, wrapped as its trace."""
-    if name in ("constant", "coordinate"):
-        if len(args) != 1 or len(args[0]) != 1:
-            raise ValueError(f"{name} expects one number")
-        return (Constant if name == "constant" else Coordinate)(args[0][0])
-    if name == "distance_to":
-        if len(args) != 1:
-            raise ValueError("distance_to expects distance_to(p1,...,pn)")
-        return DistanceTo(args[0])
-    if name == "tabulated":
-        if not args:
-            raise ValueError("tabulated(...) needs a CSV path of x1,...,xn,value rows")
-        rows = np.loadtxt(args, delimiter=",", ndmin=2)
-        if rows.shape[1] < 2:
-            raise ValueError("tabulated CSV rows must be x1,...,xn,value")
-        return Tabulated(rows[:, :-1], rows[:, -1])
-    return HarmonicTrace(_oracle_from(name, args))
-
-
-def parse_boundary_data(text: str) -> BoundaryData:
-    """Parse boundary data: constant(c), coordinate(k), distance_to(p...),
-    tabulated(file.csv), or any oracle expression (wrapped as its trace)."""
-    return _parse_call(text, _data_from, {**_ORACLE_READERS, "tabulated": _TokenCursor.path})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -220,13 +100,6 @@ def _check_streams(stream_base: int, n: int) -> int:
         raise ValueError(f"stream_base = {first} puts walk streams [{first}, {first + n}) "
                          "outside [0, AUX_STREAM_BASE = 2**60)")
     return first
-
-
-def _stream_range(stream_base: int, lo: int, hi: int) -> NDArray[np.uint64]:
-    """Walk streams stream_base + [lo, hi) of one kernel call, as uint64;
-    raises ValueError as _check_streams does."""
-    first = _check_streams(stream_base + lo, hi - lo)
-    return np.arange(first, first + (hi - lo), dtype=np.uint64)
 
 
 def _spans(n: int) -> list[tuple[int, int]]:
@@ -304,7 +177,8 @@ def exit_sample(
     def worker(lo: int, hi: int) -> WalkBatch:
         starts = x0[lo:hi] if x0.ndim == 2 else x0
         return run_walks(domain, starts, config, master_seed,
-                         _stream_range(stream_base, lo, hi), ring=ring)
+                         np.arange(stream_base + lo, stream_base + hi, dtype=np.uint64),
+                         ring=ring)
 
     parts = _map_chunks(worker, _spans(n_walks), threads)
     return WalkBatch(
@@ -400,41 +274,3 @@ def estimate_field(
                        truncated=truncated, skipped=tuple(np.flatnonzero(~inside).tolist()),
                        n_walks=n_walks)
 
-
-def tietze_extend(anchor_points, anchor_values, x) -> float | _Array:
-    """Extend values on a finite anchor set continuously to all other points.
-
-    Off the anchor set the extension is
-        min over anchors y of  F(y) + |x - y| / dist(x, A) - 1,
-    which reproduces F on A in the limit and is continuous everywhere.  On an
-    anchor the anchor's own value is returned.  The "- 1" is kept inside the
-    minimum, matching the classical (Hausdorff) formula verbatim even though
-    the constant factors out; variants of the formula move it outside.
-    """
-    pts, vals = _anchors(anchor_points, anchor_values)
-    q, single = _prep(x, pts.shape[1])
-    # (len(q), m) pairwise distances
-    d = np.linalg.norm(q[:, None, :] - pts[None, :, :], axis=2)
-    dist_a = d.min(axis=1)
-    on_anchor = dist_a == 0.0
-    out = np.empty(q.shape[0])
-    off = ~on_anchor
-    out[off] = (vals[None, :] + d[off] / dist_a[off, None] - 1.0).min(axis=1)
-    out[on_anchor] = vals[d[on_anchor].argmin(axis=1)]
-    return float(out[0]) if single else out
-
-
-def _anchors(points, values) -> tuple[_Array, _Array]:
-    """Anchor points (m, n) and their m values as read-only float64 copies,
-    all finite."""
-    pts = np.array(points, dtype=np.float64)
-    vals = np.array(values, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("anchor points must be a (m, n) array")
-    if vals.shape != (pts.shape[0],):
-        raise ValueError("need one value per anchor point")
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
-        raise ValueError("anchors must be finite")
-    pts.setflags(write=False)
-    vals.setflags(write=False)
-    return pts, vals

@@ -24,7 +24,7 @@ def _report(label, ok, detail):
 def test_criterion_1_oracle_agreement_on_the_disk():
     # harmonic x1^2 - x2^2 has the exact value -0.07 at (0.3, 0.4)
     disk = bw.Ball((0.0, 0.0), 1.0)
-    data = bw.HarmonicTrace(bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))
+    data = bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])
     cfg = bw.WalkConfig(0.1, stop_tolerance=1e-4)
     t0 = time.time()
     est = bw.estimate_value(disk, data, (0.3, 0.4), cfg, 2026, 100_000, threads=1)
@@ -40,7 +40,7 @@ def test_criterion_1_oracle_agreement_on_the_disk():
 
 def test_criterion_2_epsilon_independence_on_the_square():
     square = bw.Box((0.0, 0.0), (1.0, 1.0))
-    data = bw.HarmonicTrace(bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))
+    data = bw.HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])
     sizes = {0.2: 30_000, 0.05: 30_000, 0.02: 20_000}
     ests = {
         eps: bw.estimate_value(square, data, (0.3, 0.4), bw.WalkConfig(eps), 2026, n)
@@ -64,7 +64,7 @@ def test_criterion_2_epsilon_independence_on_the_square():
 
 def test_criterion_3_ball_and_sphere_walks_agree():
     ball = bw.Ball((0.0, 0.0, 0.0), 1.0)
-    data = bw.HarmonicTrace(bw.Linear((1.0, -0.5, 2.0), 0.25))
+    data = bw.Linear((1.0, -0.5, 2.0), 0.25)
     x0 = (0.2, 0.1, -0.3)
     truth = 0.2 - 0.05 - 0.6 + 0.25
     a = bw.estimate_value(ball, data, x0, bw.WalkConfig(0.1, kind=bw.BALL), 77, 20_000)

@@ -20,7 +20,6 @@ from ballwalk import (
     DistanceTo,
     FirstCoordinateQuartic,
     HarmonicQuadratic,
-    HarmonicTrace,
     PuncturedBall,
     RngStream,
     SquaredNorm,
@@ -58,7 +57,7 @@ def test_mean_value_residual_constant_is_exactly_zero():
 
 
 def test_mean_value_residual_harmonic_within_noise():
-    data = HarmonicTrace(HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))
+    data = HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])
     res, se = mean_value_residual(DISK, data, (0.2, 0.1), WalkConfig(0.15), 16, 400, 3)
     assert se > 0.0
     assert abs(res) < 4.0 * se
@@ -118,6 +117,13 @@ def test_averaging_squared_norm():
     # dropping the correction leaves the eps^2 term: the check must fail
     res, se = averaging_residual(u, 0.0, x, 0.2, 20_000, 5)
     assert abs(res) > 4.0 * se
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 1e200, 0.0, 1.0])
+def test_averaging_refuses_an_epsilon_outside_the_unit_interval(eps):
+    u = SquaredNorm()
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\), got "):
+        averaging_residual(u, u.laplacian((0.3, -0.1)), (0.3, -0.1), eps, 100, 5)
 
 
 def test_averaging_quartic_ratio_decreases():
@@ -426,6 +432,10 @@ def test_irregularity_witness_validation():
         irregularity_witness(DISK, (1.0, 0.0), [], [0.01], 100, 0)
     with pytest.raises(ValueError):
         irregularity_witness(DISK, (1.0, 0.0), [0.1], [-0.01], 100, 0)
+    punctured = PuncturedBall((0.0, 0.0), 1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^start distances must be positive and finite$"):
+            irregularity_witness(punctured, (0.0, 0.0), [0.1], [0.05, bad], 10, 0)
 
 
 def test_cone_bound_refuses_a_dimension_above_the_cap():

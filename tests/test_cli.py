@@ -252,6 +252,13 @@ def test_check_avg_squared_norm(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("eps, shown", [("inf", "inf"), ("1e200", "1e+200")])
+def test_check_avg_refuses_an_eps_outside_the_unit_interval(eps, shown, capsys):
+    assert main(["check-avg", "--u", "squared_norm", "--x0", "0.3,-0.1",
+                 "--n-samples", "100", "--eps", eps]) == 1
+    assert capsys.readouterr().err == f"error: epsilon must lie in (0, 1), got {shown}\n"
+
+
 def test_regularity_threshold_gates_exit_code(tmp_path):
     base = ["regularity", "--domain", "ball(0,0;1)", "--y0", "1,0",
             "--delta", "0.3", "--delta-hat", "0.02", "--eps", "0.05",

@@ -24,8 +24,8 @@ from ballwalk import (
     Coordinate,
     DistanceTo,
     Estimate,
+    HarmonicOracle,
     HarmonicQuadratic,
-    HarmonicTrace,
     Linear,
     Tabulated,
     WalkConfig,
@@ -34,7 +34,6 @@ from ballwalk import (
     exit_sample,
     parse_boundary_data,
     run_walks,
-    tietze_extend,
 )
 
 DISK = Ball((0.0, 0.0), 1.0)
@@ -47,15 +46,13 @@ def test_boundary_data_eval():
     np.testing.assert_array_equal(Coordinate(1).eval(pts), [0.3, 1.0])
     np.testing.assert_array_equal(Coordinate(2).eval(pts), [0.4, 0.0])
     np.testing.assert_allclose(DistanceTo((0.0, 0.0)).eval(pts), [0.5, 1.0], rtol=1e-15)
-    trace = HarmonicTrace(HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))
+    trace = HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])
     np.testing.assert_allclose(trace.eval(pts), [-0.07, 1.0], atol=1e-15)
 
 
 def test_boundary_data_validation():
     with pytest.raises(ValueError):
         Coordinate(0)  # indices are 1-based
-    with pytest.raises(TypeError):
-        HarmonicTrace(lambda x: x)
     pts = np.array([[0.1, 0.2]])
     with pytest.raises(ValueError):
         Coordinate(3).eval(pts)
@@ -66,7 +63,8 @@ def test_parse_boundary_data():
     assert isinstance(parse_boundary_data("coordinate(2)"), Coordinate)
     assert isinstance(parse_boundary_data("distance_to(0,0)"), DistanceTo)
     fallback = parse_boundary_data("quad(1,-1)")
-    assert isinstance(fallback, HarmonicTrace)
+    assert isinstance(fallback, HarmonicOracle)
+    assert issubclass(HarmonicOracle, ballwalk.BoundaryData)
     with pytest.raises(ValueError):
         parse_boundary_data("constant()")
 
@@ -104,7 +102,7 @@ def test_matches_plain_numpy_on_the_same_exits():
 def test_estimator_is_linear_in_the_data():
     args = (DISK, (0.25, -0.1), CFG, 13, 2000)
     coord = estimate_value(args[0], Coordinate(1), *args[1:])
-    combo = estimate_value(args[0], HarmonicTrace(Linear((2.0, 0.0), -0.5)), *args[1:])
+    combo = estimate_value(args[0], Linear((2.0, 0.0), -0.5), *args[1:])
     assert combo.mean == pytest.approx(2.0 * coord.mean - 0.5, abs=1e-12)
 
 
@@ -255,20 +253,19 @@ _AUX = estimator.AUX_STREAM_BASE
 def test_stream_range_stays_below_the_aux_block(base, lo, size):
     hi = lo + size
     if 0 <= base + lo and base + hi <= _AUX:
-        idx = estimator._stream_range(base, lo, hi)
-        assert idx.dtype == np.uint64
-        assert idx.tolist() == list(range(base + lo, base + hi))
+        first = estimator._check_streams(base + lo, size)
+        assert type(first) is int and first == base + lo
     else:
         with pytest.raises(ValueError, match="AUX_STREAM_BASE"):
-            estimator._stream_range(base, lo, hi)
+            estimator._check_streams(base + lo, size)
 
 
 def test_stream_range_edges(monkeypatch):
-    assert estimator._stream_range(_AUX - 5, 0, 5)[-1] == _AUX - 1
-    assert estimator._stream_range(np.int64(-3), 3, 4).tolist() == [0]
+    assert estimator._check_streams(_AUX - 5, 5) == _AUX - 5     # last stream _AUX - 1
+    assert estimator._check_streams(np.int64(-3) + 3, 1) == 0
     for base, lo, hi in [(_AUX - 5, 0, 6), (-1, 0, 2), (2**63 - 1, 0, 1), (2**64, 0, 1)]:
         with pytest.raises(ValueError):
-            estimator._stream_range(base, lo, hi)
+            estimator._check_streams(base + lo, hi - lo)
     assert _AUX == 2**60
     assert ballwalk.AUX_STREAM_BASE == analysis.AUX_STREAM_BASE == _AUX
     # estimators refuse such ranges before running a walk
@@ -295,7 +292,7 @@ def test_stream_range_edges(monkeypatch):
 # packed spans: estimate_field runs small points whole in shared kernel calls
 
 
-QUAD = HarmonicTrace(HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))
+QUAD = HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])
 
 
 def _sha(obj) -> str:
@@ -479,11 +476,11 @@ VALUES = np.array([2.0, -1.0, 0.5])
 
 def test_tietze_exact_on_anchors():
     for p, v in zip(ANCHORS, VALUES):
-        assert tietze_extend(ANCHORS, VALUES, p) == v
+        assert Tabulated(ANCHORS, VALUES).eval(p) == v
 
 
 def test_tietze_vectorized():
-    out = tietze_extend(ANCHORS, VALUES, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    out = Tabulated(ANCHORS, VALUES).eval(np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert out.shape == (2,)
     assert out[1] == 2.0
 
@@ -492,7 +489,7 @@ def test_tietze_vectorized():
 @settings(max_examples=200)
 def test_tietze_bounds(x, y):
     p = np.array([x, y])
-    v = float(tietze_extend(ANCHORS, VALUES, p))
+    v = float(Tabulated(ANCHORS, VALUES).eval(p))
     d = np.linalg.norm(ANCHORS - p, axis=1)
     nearest_value = VALUES[np.argmin(d)]
     assert VALUES.min() - 1e-12 <= v <= nearest_value + 1e-12
@@ -501,7 +498,9 @@ def test_tietze_bounds(x, y):
 def test_tabulated_uses_the_extension():
     data = Tabulated(ANCHORS, VALUES)
     pts = np.array([[0.2, -0.4], [0.0, 1.0]])
-    expected = tietze_extend(ANCHORS, VALUES, pts)
+    # the Hausdorff formula off the anchors, the anchor's own value on one
+    d = np.linalg.norm(pts[0] - ANCHORS, axis=1)
+    expected = [min(VALUES + d / d.min() - 1.0), VALUES[2]]
     np.testing.assert_array_equal(data.eval(pts), expected)
 
 
@@ -513,11 +512,12 @@ def test_tabulated_in_estimate():
     assert 0.0 <= est.mean <= 1.0
 
 
-def test_tabulated_and_tietze_extend_refuse_anchors_alike():
-    for pts, vals in [(np.zeros(2), [1.0]), (np.zeros((2, 2)), [1.0]),
-                      (np.array([[0.0, np.inf]]), [1.0]), (np.zeros((1, 2)), [np.nan])]:
+def test_tabulated_refuses_bad_anchors():
+    for pts, vals, message in [
+            (np.zeros(2), [1.0], "anchor points must be a (m, n) array"),
+            (np.zeros((2, 2)), [1.0], "need one value per anchor point"),
+            (np.array([[0.0, np.inf]]), [1.0], "anchors must be finite"),
+            (np.zeros((1, 2)), [np.nan], "anchors must be finite")]:
         with pytest.raises(ValueError) as by_class:
             Tabulated(pts, vals)
-        with pytest.raises(ValueError) as by_eval:
-            tietze_extend(pts, vals, (0.1, 0.2))
-        assert str(by_class.value) == str(by_eval.value)
+        assert str(by_class.value) == message

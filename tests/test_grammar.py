@@ -70,11 +70,10 @@ README_EXAMPLES = [
     ("data", "constant(0)", "Constant(0.0)"),
     ("data", "coordinate(1)", "Coordinate(1)"),
     ("data", "distance_to(0.5,0)", "DistanceTo([0.5, 0.0])"),
-    ("data", "quad(1,-1)", "HarmonicTrace(HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]]))"),
-    ("data", "quad(0,0.5;0.5,0)",
-     "HarmonicTrace(HarmonicQuadratic([[0.0, 0.5], [0.5, 0.0]]))"),
-    ("data", "linear(1,0;2)", "HarmonicTrace(Linear(a=[1.0, 0.0], b=2.0))"),
-    ("data", "fundamental(2,0)", "HarmonicTrace(FundamentalSolution(z0=[2.0, 0.0]))"),
+    ("data", "quad(1,-1)", "HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])"),
+    ("data", "quad(0,0.5;0.5,0)", "HarmonicQuadratic([[0.0, 0.5], [0.5, 0.0]])"),
+    ("data", "linear(1,0;2)", "Linear(a=[1.0, 0.0], b=2.0)"),
+    ("data", "fundamental(2,0)", "FundamentalSolution(z0=[2.0, 0.0])"),
     ("oracle", "linear(1,0;2)", "Linear(a=[1.0, 0.0], b=2.0)"),
     ("oracle", "quad(1,-1)", "HarmonicQuadratic([[1.0, 0.0], [0.0, -1.0]])"),
     ("oracle", "quad(0,0.5;0.5,0)", "HarmonicQuadratic([[0.0, 0.5], [0.5, 0.0]])"),
@@ -85,12 +84,15 @@ README_EXAMPLES = [
 @pytest.mark.parametrize("parser, text, expected", README_EXAMPLES)
 def test_readme_examples_keep_their_repr(parser, text, expected):
     assert repr(PARSERS[parser](text)) == expected
+    if parser == "oracle":     # an oracle is boundary data as it stands
+        assert repr(parse_boundary_data(text)) == expected
 
 
 def test_numbers_are_decimal_literals():
     assert repr(parse_domain(" ball( +.5 , 5. ; 1E+2 ) ")) == (
         "Ball(center=[0.5, 5.0], radius=100.0)")
-    assert repr(parse_oracle("linear(1e0,-0.;-2.5e-1)")) == "Linear(a=[1.0, -0.0], b=-0.25)"
+    for parser in (parse_oracle, parse_boundary_data):
+        assert repr(parser("linear(1e0,-0.;-2.5e-1)")) == "Linear(a=[1.0, -0.0], b=-0.25)"
 
 
 def test_coordinate_index_follows_the_count_rule():
@@ -123,8 +125,7 @@ def test_tabulated_and_poisson_read_a_raw_path(tmp_path):
     circle = folder / "circle.csv"
     np.savetxt(circle, np.ones(64))
     assert repr(parse_oracle(f"poisson({circle})")) == "PoissonDisk(64 samples)"
-    assert repr(parse_boundary_data(f"poisson({circle})")) == (
-        "HarmonicTrace(PoissonDisk(64 samples))")
+    assert repr(parse_boundary_data(f"poisson({circle})")) == "PoissonDisk(64 samples)"
 
 
 def test_non_string_expression_is_a_type_error():

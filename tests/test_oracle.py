@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballwalk import (
+    BoundaryData,
     FirstCoordinateQuartic,
     FundamentalSolution,
     HarmonicQuadratic,
@@ -17,7 +18,6 @@ from ballwalk import (
     PoissonDisk,
     SquaredNorm,
     parse_oracle,
-    poisson_disk_eval,
     radial_profile,
 )
 from ballwalk.oracle import MIN_POISSON_NODES, PROBE_FUNCTIONS
@@ -112,6 +112,7 @@ def test_probe_functions():
             fd = _fd_laplacian(lambda p: float(probe.eval(p)), x)
             assert fd == pytest.approx(probe.laplacian(x), abs=1e-5)
     assert set(PROBE_FUNCTIONS) == {"squared_norm", "first_coord_quartic"}
+    assert all(isinstance(u, BoundaryData) for u in PROBE_FUNCTIONS.values())
 
 
 def _disk_samples(fn, m):
@@ -128,32 +129,32 @@ def test_poisson_disk_exact_for_low_harmonics():
         for r, phi in [(0.0, 0.0), (0.3, 1.1), (0.5, -2.0)]:
             x = (r * np.cos(phi), r * np.sin(phi))
             want = r**k * np.cos(k * phi)
-            assert poisson_disk_eval(vals, x) == pytest.approx(want, abs=1e-12)
+            assert PoissonDisk(vals).eval(x) == pytest.approx(want, abs=1e-12)
 
 
 def test_poisson_center_is_the_node_mean():
     vals = np.random.default_rng(9).uniform(-1.0, 1.0, 128)
-    assert poisson_disk_eval(vals, (0.0, 0.0)) == pytest.approx(vals.mean(), abs=1e-14)
+    assert PoissonDisk(vals).eval((0.0, 0.0)) == pytest.approx(vals.mean(), abs=1e-14)
 
 
 def test_poisson_node_doubling_agrees():
     fn = lambda t: np.cos(3 * t) - 0.5 * np.sin(7 * t) + 0.25
     for x in [(0.4, 0.1), (-0.2, 0.5), (0.0, 0.0)]:
-        a = poisson_disk_eval(_disk_samples(fn, 64), x)
-        b = poisson_disk_eval(_disk_samples(fn, 128), x)
+        a = PoissonDisk(_disk_samples(fn, 64)).eval(x)
+        b = PoissonDisk(_disk_samples(fn, 128)).eval(x)
         assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_poisson_refusals():
-    vals = np.zeros(MIN_POISSON_NODES)
+    disk = PoissonDisk(np.zeros(MIN_POISSON_NODES))
     with pytest.raises(ValueError):
-        poisson_disk_eval(vals, (1.0, 0.0))
+        disk.eval((1.0, 0.0))
     with pytest.raises(ValueError):
-        poisson_disk_eval(vals, (0.99999999, 0.0))
+        disk.eval((0.99999999, 0.0))
     with pytest.raises(ValueError):
-        poisson_disk_eval(np.zeros(MIN_POISSON_NODES - 1), (0.0, 0.0))
+        PoissonDisk(np.zeros(MIN_POISSON_NODES - 1))
     with pytest.raises(ValueError):
-        poisson_disk_eval(vals, (0.1, 0.1, 0.1))
+        disk.eval((0.1, 0.1, 0.1))
 
 
 def test_poisson_disk_class_is_harmonic():
@@ -163,6 +164,7 @@ def test_poisson_disk_class_is_harmonic():
         x = rng.uniform(-0.4, 0.4, size=2)
         assert abs(_fd_laplacian(lambda p: float(disk.eval(p)), x)) < 1e-5
     assert disk.laplacian((0.1, 0.2)) == 0.0
+    assert isinstance(disk, BoundaryData)
 
 
 @given(st.floats(0.01, 0.99), st.floats(0, 2 * np.pi))
@@ -171,7 +173,7 @@ def test_poisson_respects_bounds(r, phi):
     m = 64
     vals = _disk_samples(lambda t: np.sin(t) + 0.3 * np.cos(5 * t), m)
     x = (r * np.cos(phi), r * np.sin(phi))
-    v = poisson_disk_eval(vals, x)
+    v = PoissonDisk(vals).eval(x)
     # positive weights whose discrete mass is 1 within 2 r^m / (1 - r^m), so
     # the sample range holds up to that defect (exact only in the continuum)
     slack = 2.0 * r**m / (1.0 - r**m) * np.max(np.abs(vals)) + 1e-9
@@ -213,9 +215,9 @@ def test_parse_oracle_errors():
 
 
 def test_poisson_disk_and_its_eval_refuse_samples_alike():
-    for bad in (np.ones(63), np.ones((64, 2)), np.r_[np.ones(63), np.nan]):
+    for bad, message in [(np.ones(63), "need at least 64 equispaced boundary samples"),
+                         (np.ones((64, 2)), "need at least 64 equispaced boundary samples"),
+                         (np.r_[np.ones(63), np.nan], "boundary samples must be finite")]:
         with pytest.raises(ValueError) as by_class:
             PoissonDisk(bad)
-        with pytest.raises(ValueError) as by_eval:
-            poisson_disk_eval(bad, (0.1, 0.2))
-        assert str(by_class.value) == str(by_eval.value)
+        assert str(by_class.value) == message
