@@ -27,7 +27,7 @@ from .estimator import AUX_STREAM_BASE, _require_sane_truncation, estimate_field
 from .geometry import MAX_DIM, Domain, as_point, _count
 from .oracle import BoundaryData, DistanceTo, radial_profile
 from .stochastic import RngStream, sample_unit_ball
-from .walk import WalkConfig
+from .walk import WalkConfig, _check_epsilon
 
 _Array = NDArray[np.float64]
 
@@ -177,9 +177,7 @@ def averaging_residual(
     """
     x = as_point(x)
     n_dim = x.shape[0]
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    epsilon = _check_epsilon(float(epsilon))
     n_samples = _count(n_samples, "n_samples", 2)
     aux = RngStream(master_seed, AUX_STREAM_BASE)
     w = sample_unit_ball(aux, n_dim, n_samples)
@@ -423,12 +421,11 @@ def martingale_check(
 
     One ball-walk step has conditional mean equal to the current position,
     so the statistic is approximately the max of N half-normal draws.
+    epsilon must lie in (0, 1), as for every walk.
     """
     x0 = _domain_point(domain, x0)
     n = _count(n, "n", 2)
-    radius = min(float(epsilon), domain.distance_to_boundary(x0))
-    if not radius > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    radius = min(_check_epsilon(float(epsilon)), domain.distance_to_boundary(x0))
     aux = RngStream(master_seed, AUX_STREAM_BASE)
     w = sample_unit_ball(aux, domain.dim, n)
     stepped = x0 + radius * w

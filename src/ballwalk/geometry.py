@@ -5,13 +5,15 @@ contained), a signed distance (negative inside), the distance to the boundary
 from interior points, and a nearest-boundary projection.  Queries accept a
 single point of shape ``(n,)`` or a batch ``(m, n)``.
 
-Exactness contract: Ball, Box, Annulus, PuncturedBall and
-HalfspaceIntersection report exact interior boundary distances; Difference
-uses ``max(sd_a, -sd_b)``, whose magnitude is a safe lower bound inside (it
-never overestimates, so a ball of that radius always stays interior).
+Exactness contract: Ball, Box, Annulus and HalfspaceIntersection report
+exact interior boundary distances, and so does PuncturedBall, the annulus of
+inner radius 0, whose center is an exact boundary point; Difference uses
+``max(sd_a, -sd_b)``, whose magnitude is a safe lower bound inside (it never
+overestimates, so a ball of that radius always stays interior).
 Projections are nudged a few ulps outward so the returned point is never
-``contains``-true after rounding; the nudge is ~1e-14 relative, far inside
-the 1e-12 distance-agreement budget.
+``contains``-true after rounding; a projection onto a puncture returns the
+center itself.  The nudge is ~1e-14 relative, far inside the 1e-12
+distance-agreement budget.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ def _count(value, name: str, minimum: int | None = 1, maximum: int | None = None
     return n
 
 
-def _prep(x, dim: int) -> tuple[_Array, bool]:
-    """Coerce to shape (m, dim); returns (points, was_single_point)."""
+def _prep(x, dim: int | None) -> tuple[_Array, bool]:
+    """Coerce to shape (m, dim), or with dim None to (m, n) for any n in
+    1..MAX_DIM; returns (points, was_single_point)."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
@@ -72,7 +75,10 @@ def _prep(x, dim: int) -> tuple[_Array, bool]:
         single = False
     else:
         raise ValueError(f"expected a point (n,) or a batch (m, n), got shape {a.shape}")
-    if a.shape[1] != dim:
+    if dim is None:
+        if not 1 <= a.shape[1] <= MAX_DIM:
+            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {a.shape[1]}")
+    elif a.shape[1] != dim:
         raise ValueError(
             f"dimension mismatch: domain is {dim}-dimensional, points have {a.shape[1]} coordinates"
         )
@@ -244,19 +250,19 @@ class Box(Domain):
         return self.min_corner.copy(), self.max_corner.copy()
 
 
-class Annulus(Domain):
-    """Open annulus: points strictly between the inner and outer radii."""
+class Annulus(Ball):
+    """Open annulus: points strictly between the inner and outer radii.
+
+    It is the ball of the outer radius with the closed inner ball removed;
+    at inner radius 0 that is the center alone, an exact boundary point.
+    """
 
     def __init__(self, center, r_inner: float, r_outer: float):
-        self.center = as_point(center)
-        r_inner = float(r_inner)
-        r_outer = float(r_outer)
-        if not (math.isfinite(r_inner) and math.isfinite(r_outer) and 0.0 < r_inner < r_outer):
-            raise ValueError(f"annulus requires 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
-        self.r_inner = r_inner
-        self.r_outer = r_outer
-        self.dim = self.center.shape[0]
-        self._nudge = 16.0 * _EPS * (r_outer + float(np.max(np.abs(self.center), initial=0.0)))
+        super().__init__(center, r_outer)
+        self.r_inner, self.r_outer = float(r_inner), self.radius
+        if not 0.0 <= self.r_inner < self.r_outer:
+            raise ValueError(
+                f"annulus requires 0 <= r_inner < r_outer, got {self.r_inner}, {self.r_outer}")
 
     def __repr__(self) -> str:
         return f"Annulus(center={self.center.tolist()}, r_inner={self.r_inner}, r_outer={self.r_outer})"
@@ -270,52 +276,36 @@ class Annulus(Domain):
         t = _norms(v)
         u = _radial_units(v)
         inner_closer = (t - self.r_inner) <= (self.r_outer - t)
-        radius = np.where(inner_closer, self.r_inner - self._nudge, self.r_outer + self._nudge)
+        inner = max(self.r_inner - self._nudge, 0.0)
+        radius = np.where(inner_closer, inner, self.r_outer + self._nudge)
         return self.center + radius[:, None] * u
 
-    def diameter(self) -> float:
-        return 2.0 * self.r_outer
 
-    def bounding_box(self) -> tuple[_Array, _Array]:
-        return self.center - self.r_outer, self.center + self.r_outer
-
-
-class PuncturedBall(Domain):
-    """Open ball with its center removed; the puncture is an exact boundary point.
+class PuncturedBall(Annulus):
+    """Open ball with its center removed: the annulus of inner radius 0.
 
     The boundary distance is min(radius - |x - c|, |x - c|): the puncture
     participates in the distance oracle exactly, with no fattening.
     """
 
     def __init__(self, center, radius: float):
-        self.center = as_point(center)
-        radius = float(radius)
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError(f"radius must be positive and finite, got {radius}")
-        self.radius = radius
-        self.dim = self.center.shape[0]
-        self._nudge = 16.0 * _EPS * (radius + float(np.max(np.abs(self.center), initial=0.0)))
+        super().__init__(center, 0.0, radius)
 
     def __repr__(self) -> str:
         return f"PuncturedBall(center={self.center.tolist()}, radius={self.radius})"
 
-    def _sd(self, pts: _Array) -> _Array:
-        t = _norms(pts - self.center)
-        return np.maximum(t - self.radius, -t)
 
-    def _project(self, pts: _Array) -> _Array:
-        v = pts - self.center
-        t = _norms(v)
-        u = _radial_units(v)
-        outer = self.center + (self.radius + self._nudge) * u
-        to_puncture = t <= self.radius - t
-        return np.where(to_puncture[:, None], self.center[None, :], outer)
+def _linprog(c: _Array, a_ub: _Array, b_ub: _Array):
+    """Minimize c . x subject to a_ub x <= b_ub, x free; refuses an
+    unbounded or infeasible program as a polytope that is not one."""
+    from scipy.optimize import linprog
 
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
-    def bounding_box(self) -> tuple[_Array, _Array]:
-        return self.center - self.radius, self.center + self.radius
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * len(c), method="highs")
+    if res.status == 3:
+        raise ValueError("halfspace intersection is unbounded")
+    if not res.success:
+        raise ValueError("halfspace intersection has empty interior")
+    return res
 
 
 class HalfspaceIntersection(Domain):
@@ -352,22 +342,15 @@ class HalfspaceIntersection(Domain):
         return f"HalfspaceIntersection({self.normals.shape[0]} halfspaces, dim={self.dim})"
 
     def _chebyshev_center(self) -> _Array:
-        from scipy.optimize import linprog
-
         k, n = self.normals.shape
         c = np.zeros(n + 1)
         c[-1] = -1.0
-        a_ub = np.hstack([self.normals, np.ones((k, 1))])
-        res = linprog(c, A_ub=a_ub, b_ub=self.offsets, bounds=[(None, None)] * (n + 1), method="highs")
-        if res.status == 3:
-            raise ValueError("halfspace intersection is unbounded")
-        if not res.success or res.x[-1] <= 0.0:
+        res = _linprog(c, np.hstack([self.normals, np.ones((k, 1))]), self.offsets)
+        if res.x[-1] <= 0.0:
             raise ValueError("halfspace intersection has empty interior")
         return res.x[:n].copy()
 
     def _solve_bbox(self) -> tuple[_Array, _Array]:
-        from scipy.optimize import linprog
-
         n = self.dim
         lo = np.empty(n)
         hi = np.empty(n)
@@ -375,13 +358,7 @@ class HalfspaceIntersection(Domain):
             for sign, out in ((1.0, lo), (-1.0, hi)):
                 c = np.zeros(n)
                 c[i] = sign
-                res = linprog(c, A_ub=self.normals, b_ub=self.offsets,
-                              bounds=[(None, None)] * n, method="highs")
-                if res.status == 3:
-                    raise ValueError("halfspace intersection is unbounded")
-                if not res.success:
-                    raise ValueError("halfspace intersection has empty interior")
-                out[i] = sign * res.fun if sign > 0 else -res.fun
+                out[i] = sign * _linprog(c, self.normals, self.offsets).fun
         return lo, hi
 
     def _margins(self, pts: _Array) -> _Array:

@@ -49,10 +49,8 @@ class HarmonicOracle(BoundaryData):
 
     def laplacian(self, x) -> float | _Array:
         """Identically zero: the defining property of these oracles."""
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim == 1:
-            return 0.0
-        return np.zeros(a.shape[0])
+        pts, single = _prep(x, self.dim)
+        return 0.0 if single else np.zeros(pts.shape[0])
 
 
 class Linear(HarmonicOracle):
@@ -186,32 +184,27 @@ class SquaredNorm(BoundaryData):
     """u(x) = |x|^2 with Laplacian 2n: the flattest non-harmonic probe."""
 
     def eval(self, x) -> float | _Array:
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim == 1:
-            return float(a @ a)
-        return np.einsum("ij,ij->i", a, a)
+        pts, single = _prep(x, None)
+        v = np.einsum("ij,ij->i", pts, pts)
+        return float(v[0]) if single else v
 
     def laplacian(self, x) -> float | _Array:
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim == 1:
-            return 2.0 * a.shape[0]
-        return np.full(a.shape[0], 2.0 * a.shape[1])
+        pts, single = _prep(x, None)
+        return 2.0 * pts.shape[1] if single else np.full(pts.shape[0], 2.0 * pts.shape[1])
 
 
 class FirstCoordinateQuartic(BoundaryData):
     """u(x) = x1^4 with Laplacian 12 x1^2: probes the quartic error term."""
 
     def eval(self, x) -> float | _Array:
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim == 1:
-            return float(a[0] ** 4)
-        return a[:, 0] ** 4
+        pts, single = _prep(x, None)
+        v = pts[:, 0] ** 4
+        return float(v[0]) if single else v
 
     def laplacian(self, x) -> float | _Array:
-        a = np.asarray(x, dtype=np.float64)
-        if a.ndim == 1:
-            return float(12.0 * a[0] ** 2)
-        return 12.0 * a[:, 0] ** 2
+        pts, single = _prep(x, None)
+        v = 12.0 * pts[:, 0] ** 2
+        return float(v[0]) if single else v
 
 
 PROBE_FUNCTIONS: dict[str, BoundaryData] = {
@@ -230,10 +223,8 @@ class Constant(BoundaryData):
         return f"Constant({self.value})"
 
     def eval(self, points) -> float | _Array:
-        a = np.asarray(points, dtype=np.float64)
-        if a.ndim == 1:
-            return self.value
-        return np.full(a.shape[0], self.value)
+        pts, single = _prep(points, None)
+        return self.value if single else np.full(pts.shape[0], self.value)
 
 
 class Coordinate(BoundaryData):
@@ -246,11 +237,11 @@ class Coordinate(BoundaryData):
         return f"Coordinate({self.index})"
 
     def eval(self, points) -> float | _Array:
-        a = np.asarray(points, dtype=np.float64)
+        pts, single = _prep(points, None)
         k = self.index - 1
-        if k >= a.shape[-1]:
-            raise ValueError(f"coordinate {self.index} out of range for dimension {a.shape[-1]}")
-        return float(a[k]) if a.ndim == 1 else a[:, k].copy()
+        if k >= pts.shape[1]:
+            raise ValueError(f"coordinate {self.index} out of range for dimension {pts.shape[1]}")
+        return float(pts[0, k]) if single else pts[:, k].copy()
 
 
 class DistanceTo(BoundaryData):

@@ -81,6 +81,13 @@ _PREFETCH_ROWS = 1024
 _LANES = 8192
 
 
+def _check_epsilon(epsilon: float) -> float:
+    """The step scale, refused outside (0, 1) as for every walk."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return epsilon
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """Walk parameters: step scale, termination tolerance, cap, and kind.
@@ -97,8 +104,7 @@ class WalkConfig:
     kind: str = BALL
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if self.stop_tolerance is not None and not 0.0 < self.stop_tolerance < self.epsilon:
             raise ValueError(
                 f"stop_tolerance must lie in (0, epsilon), got {self.stop_tolerance}")

@@ -119,7 +119,10 @@ def test_averaging_squared_norm():
     assert abs(res) > 4.0 * se
 
 
-@pytest.mark.parametrize("eps", [math.inf, math.nan, 1e200, 0.0, 1.0])
+_BAD_EPSILONS = [math.inf, math.nan, 1e200, 0.0, 1.0, 5.0]
+
+
+@pytest.mark.parametrize("eps", _BAD_EPSILONS)
 def test_averaging_refuses_an_epsilon_outside_the_unit_interval(eps):
     u = SquaredNorm()
     with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\), got "):
@@ -388,6 +391,15 @@ def test_martingale_check_small_and_deterministic():
     b = martingale_check(DISK, (0.5, 0.0), 0.3, 200_000, 7)
     assert a == b
     assert a < 4.0
+
+
+@pytest.mark.parametrize("eps", _BAD_EPSILONS)
+def test_martingale_check_and_walk_config_refuse_an_epsilon_outside_the_unit_interval(eps):
+    # a wide ball, so the boundary distance cannot cap the step instead
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\), got "):
+        martingale_check(Ball((0.0, 0.0), 10.0), (0.0, 0.0), eps, 200, 1)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\), got "):
+        WalkConfig(eps)
 
 
 def test_irregularity_witness_structure():

@@ -27,6 +27,7 @@ from ballwalk import (
     HarmonicOracle,
     HarmonicQuadratic,
     Linear,
+    PuncturedBall,
     Tabulated,
     WalkConfig,
     estimate_field,
@@ -342,6 +343,12 @@ _PINNED = {
     "escape": ("90cafa007b19792e313cbfe9d8725f17e0adf3dd17c6b332f7188a7aa24c31d0", 40,
                lambda threads: analysis.estimate_escape_probability(
                    DISK, (1.0, 0.0), 0.3, (0.8, 0.1), 0.2, 150, 31, threads=threads)),
+    # walks next to the puncture, whose projection lands on the center itself;
+    # pinned before PuncturedBall became the annulus of inner radius 0
+    "puncture": ("fef9179962af9c612ded8dda6f1d6a238949eb842254ed933aaa78e0ae48149a", 40,
+                 lambda threads: analysis.irregularity_witness(
+                     PuncturedBall((0.0, 0.0), 1.0), (0.0, 0.0), [0.1, 0.05], [0.05, 0.01],
+                     100, 3, threads=threads)),
 }
 
 

@@ -15,8 +15,10 @@ from ballwalk import (
     DomainParseError,
     HalfspaceIntersection,
     PuncturedBall,
+    WalkConfig,
     as_point,
     parse_domain,
+    run_walks,
 )
 
 UNIT_SHAPES = [
@@ -76,8 +78,15 @@ def test_annulus_two_sheets():
     assert ann.signed_distance((0.2, 0.0)) == pytest.approx(0.3, abs=1e-15)
     inner = ann.nearest_boundary_point((0.55, 0.0))
     assert np.linalg.norm(inner) == pytest.approx(0.5, rel=1e-12)
+    # an inner radius below the nudge projects onto the center, never
+    # through it to a point of the annulus
+    tiny = Annulus((0.0, 0.0), 1e-16, 1.0)
+    p = tiny.nearest_boundary_point((1e-3, 0.0))
+    assert np.array_equal(p, [0.0, 0.0]) and not tiny.contains(p)
     with pytest.raises(ValueError):
         Annulus((0.0, 0.0), 1.0, 0.5)
+    with pytest.raises(ValueError, match=r"^annulus requires 0 <= r_inner < r_outer, got -0.5, 1.0$"):
+        Annulus((0.0, 0.0), -0.5, 1.0)
 
 
 def test_punctured_ball_projects_to_puncture():
@@ -88,6 +97,27 @@ def test_punctured_ball_projects_to_puncture():
     assert pb.signed_distance((0.0, 0.0)) == 0.0
     assert not pb.contains((0.0, 0.0))
     assert pb.contains((0.5, 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+def test_annulus_of_inner_radius_zero_is_the_punctured_ball(n):
+    rng = np.random.default_rng(n)
+    c = rng.uniform(-0.5, 0.5, n)
+    ann, pb = Annulus(c, 0.0, 1.1), PuncturedBall(c, 1.1)
+    pts = np.concatenate([c + rng.standard_normal((500, n)) * rng.uniform(0.0, 2.0, (500, 1)),
+                          c + 1e-9 * rng.standard_normal((20, n)), c[None, :]])
+    assert ann._sd(pts).tobytes() == pb._sd(pts).tobytes()
+    proj = pb._project(pts)
+    assert ann._project(pts).tobytes() == proj.tobytes()
+    # rows nearer the puncture than the sphere land on the center itself
+    t = np.linalg.norm(pts - c, axis=1)
+    assert np.array_equal(proj[t <= 1.1 - t], np.broadcast_to(c, proj[t <= 1.1 - t].shape))
+    # the puncture is boundary, and its signed distance is 0.0 - 0 = +0.0
+    assert math.copysign(1.0, pb.signed_distance(c)) == 1.0 and not pb.contains(c)
+    x0 = c + 0.3 * np.eye(n)[0]
+    walks = [run_walks(d, x0, WalkConfig(0.2), 7, np.arange(200)) for d in (ann, pb)]
+    for field in ("exit_points", "steps", "truncated"):
+        assert getattr(walks[0], field).tobytes() == getattr(walks[1], field).tobytes()
 
 
 def test_halfspaces_match_box_inside():

@@ -37,6 +37,7 @@ MALFORMED = [
     ("oracle", "poisson()", 0, "needs a CSV path"),
     ("data", "poisson()", 0, "needs a CSV path"),
     ("domain", "ball(0,0;-1)", 0, "radius must be positive"),
+    ("domain", "annulus(0,0;-0.5,1)", 0, "annulus requires 0 <= r_inner < r_outer"),
     ("domain", "diff(ball(0,0;1), ball(0,0,0;1))", 0, "dimension mismatch"),
     ("domain", "diff(ball(0,0;1), box(0;1;2))", 18, "box expects 2 ';'-separated groups"),
     ("data", "constant(1,2)", 0, "constant expects one number"),
@@ -59,6 +60,7 @@ README_EXAMPLES = [
     ("domain", "ball(0,0;1)", "Ball(center=[0.0, 0.0], radius=1.0)"),
     ("domain", "box(0,0;1,1)", "Box(min_corner=[0.0, 0.0], max_corner=[1.0, 1.0])"),
     ("domain", "annulus(0,0;0.5,1)", "Annulus(center=[0.0, 0.0], r_inner=0.5, r_outer=1.0)"),
+    ("domain", "annulus(0,0;0,1)", "Annulus(center=[0.0, 0.0], r_inner=0.0, r_outer=1.0)"),
     ("domain", "punctured_ball(0,0;1)", "PuncturedBall(center=[0.0, 0.0], radius=1.0)"),
     ("domain", "halfspaces(1,0,1;-1,0,0;0,1,1;0,-1,0)",
      "HalfspaceIntersection(4 halfspaces, dim=2)"),

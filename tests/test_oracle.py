@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 
 from ballwalk import (
     BoundaryData,
+    Constant,
+    Coordinate,
+    DistanceTo,
     FirstCoordinateQuartic,
     FundamentalSolution,
     HarmonicQuadratic,
     Linear,
     PoissonDisk,
     SquaredNorm,
+    Tabulated,
     parse_oracle,
     radial_profile,
 )
@@ -113,6 +117,30 @@ def test_probe_functions():
             assert fd == pytest.approx(probe.laplacian(x), abs=1e-5)
     assert set(PROBE_FUNCTIONS) == {"squared_norm", "first_coord_quartic"}
     assert all(isinstance(u, BoundaryData) for u in PROBE_FUNCTIONS.values())
+
+
+# Every kind of boundary data, on 2-D points inside the unit disk.
+_DATA = [
+    Constant(1.5), Coordinate(2), DistanceTo((0.5, 0.0)),
+    Tabulated([(0.0, 1.0), (1.0, 0.0), (-1.0, 0.0)], [1.0, 2.0, 3.0]),
+    Linear((1.3, -0.7), 0.2), HarmonicQuadratic([[0.3, 0.5], [0.5, -0.3]]),
+    FundamentalSolution((2.0, 0.0)), PoissonDisk(np.cos(np.arange(MIN_POISSON_NODES))),
+    SquaredNorm(), FirstCoordinateQuartic(),
+]
+
+
+@pytest.mark.parametrize("data", _DATA, ids=lambda d: type(d).__name__)
+def test_data_reads_a_point_as_a_batch_of_one(data):
+    methods = [data.eval] + ([data.laplacian] if hasattr(data, "laplacian") else [])
+    for x in np.random.default_rng(4).uniform(-0.7, 0.7, size=(200, 2)):
+        for f in methods:
+            one = f(x)
+            assert type(one) is float
+            assert np.float64(one).tobytes() == f(x[None, :])[0].tobytes()
+    for f in methods:
+        for bad in ((np.inf, 0.0), (0.0, np.nan), np.zeros((2, 3, 2))):
+            with pytest.raises(ValueError):
+                f(bad)
 
 
 def _disk_samples(fn, m):
