@@ -7,10 +7,14 @@ standard errors, and every sampling routine is bitwise deterministic for a
 given seed no matter how the work is split across threads: walk k always
 consumes stream ``stream_base + k``, chunk statistics are pure functions of
 the chunk index, and chunks are merged in index order.  A kernel call runs a
-span: two chunks of one point, fanned out over threads, or as many whole
-points of at most half a span as fit, run in order (two such spans at once
-cost 13% more peak memory).  This is the one module that fans walks out over threads; the
-diagnostics run their walks through exit_sample or estimate_field.
+span.  A point with more than half a packed span of walks is cut into one
+chunk-aligned span per thread, of ceil(chunks / threads) chunks but at most
+_SPAN_CHUNKS (and, in a field of several points, no less than a packed span),
+and the spans fan out over threads; fewer, longer calls pay the kernel's tail
+of near-empty iterations fewer times.  Smaller points are run whole, as many
+as fit in a packed span, one packed span after another.  This is the one
+module that fans walks out over threads; the diagnostics run their walks
+through exit_sample or estimate_field.
 """
 
 from __future__ import annotations
@@ -35,9 +39,19 @@ AUX_STREAM_BASE = 2**60
 # Walks per statistics chunk.  Statistics are accumulated per chunk and folded
 # in chunk order, so results do not depend on the thread count.
 _CHUNK = 8192
-# Chunks per kernel call, one call per thread task.  run_walks keeps at most
-# walk._LANES walks live and refills a lane as soon as its walk exits.
-_SPAN_CHUNKS = 2
+# Most chunks in one kernel call, a cap on the per-walk arrays of one call.
+# Below it a point's span is ceil(chunks / threads) chunks, so the kernel's
+# tail (a few long walks stepping a near-empty batch) is paid once per thread.
+# run_walks keeps at most walk._LANES walks live and refills a lane as soon as
+# its walk exits.
+_SPAN_CHUNKS = 8
+# Chunks per packed span: points of at most half of it run whole, as many to
+# a kernel call as fit, and packed spans run in order.  Packed calls copy a
+# start per walk (and hold final positions and stream indices per walk), so
+# they grow memory faster than a point's own span, which shares one start:
+# on the 56-point 3-D field of 1000 walks a point, fanning out 28-point spans
+# raised peak RSS from 40.1 to 46.5 MB and one serial 56-point call to 44 MB.
+_PACK_CHUNKS = 2
 
 # Refuse estimates where more than this fraction of walks hit the step cap:
 # the truncation bias is no longer negligible against the standard error.
@@ -102,9 +116,12 @@ def _check_streams(stream_base: int, n: int) -> int:
     return first
 
 
-def _spans(n: int) -> list[tuple[int, int]]:
-    """Walks [0, n) cut into spans of _SPAN_CHUNKS chunks."""
-    return [(lo, min(lo + _SPAN_CHUNKS * _CHUNK, n)) for lo in range(0, n, _SPAN_CHUNKS * _CHUNK)]
+def _spans(n: int, threads: int, least: int = 1) -> list[tuple[int, int]]:
+    """Walks [0, n) cut into spans of ceil(chunks / threads) chunks, but at
+    least ``least`` and at most _SPAN_CHUNKS; the last span may be shorter."""
+    chunks = -(-n // _CHUNK)
+    size = min(max(-(-chunks // threads), least), _SPAN_CHUNKS) * _CHUNK
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _map_chunks(worker, tasks: list[tuple], threads: int) -> list:
@@ -180,7 +197,7 @@ def exit_sample(
                          np.arange(stream_base + lo, stream_base + hi, dtype=np.uint64),
                          ring=ring)
 
-    parts = _map_chunks(worker, _spans(n_walks), threads)
+    parts = _map_chunks(worker, _spans(n_walks, threads), threads)
     return WalkBatch(
         exit_points=np.concatenate([p.exit_points for p in parts], axis=0),
         steps=np.concatenate([p.steps for p in parts]),
@@ -254,9 +271,14 @@ def estimate_field(
                 parts.append((_chunk_moments(values), int(cut.sum())))
         return parts
 
-    per = max(1, _SPAN_CHUNKS * _CHUNK // n_walks)     # whole points a span holds
+    per = max(1, _PACK_CHUNKS * _CHUNK // n_walks)     # whole points a packed span holds
+    # With several points, the other points keep the threads busy, so a point
+    # is cut no finer than a packed span: finer spans only add kernel tails
+    # (8 points of 16 384 walks at 2 threads took 6.8-7.6 s in 8192-walk
+    # spans, 5.2-5.7 s in one span a point).
+    least = _PACK_CHUNKS if rows.size > 1 else 1
     tasks = [(slice(r, r + per), lo, hi) for r in range(0, rows.size, per)
-             for lo, hi in _spans(n_walks)]
+             for lo, hi in _spans(n_walks, threads, least)]
     parts = [part for s in _map_chunks(run, tasks, threads if per == 1 else 1) for part in s]
     chunks = -(-n_walks // _CHUNK)     # per point, consecutive in parts
     means, stderrs = np.full((2, m), np.nan)

@@ -9,6 +9,7 @@ import math
 import pickle
 import re
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -214,18 +215,22 @@ def test_walk_and_thread_counts_are_not_booleans():
 
 
 def test_spans_fold_chunks_in_order_at_any_thread_count(monkeypatch):
-    # Spans of two 40-walk chunks, 25 lanes per kernel call; 257 walks leave
-    # a partial last span and a partial last chunk.  The seed is the first
-    # from 18 up at which folding per 80-walk span rounds both mean and
-    # stderr differently from folding per chunk (27 for the closed-form 2-D
-    # sampler), so the fold order is visible in the bits.
+    # 257 walks are 7 chunks of 40, the last partial, run 25 lanes per kernel
+    # call.  Threads 1, 2, 3, 4 and 7 cut them into spans of 7, 4 + 3,
+    # 3 + 3 + 1, 2 + 2 + 2 + 1 and 1 x 7 chunks.  The seed is the first from
+    # 18 up at which folding per 80-walk span rounds both mean and stderr
+    # differently from folding per chunk (27 for the closed-form 2-D sampler),
+    # so the fold order is visible in the bits.
     monkeypatch.setattr(estimator, "_CHUNK", 40)
     monkeypatch.setattr(walk, "_LANES", 25)
     n, x0, data = 257, (0.2, -0.1), Coordinate(1)
+    threads = (1, 2, 3, 4, 7)
+    assert [[hi - lo for lo, hi in estimator._spans(n, t)] for t in threads] == [
+        [257], [160, 97], [120, 120, 17], [80, 80, 80, 17], [40] * 6 + [17]]
     estimates = [estimate_value(DISK, data, x0, CFG, 27, n, stream_base=11, threads=t)
-                 for t in (1, 2, 3)]
-    samples = [exit_sample(DISK, x0, CFG, 27, n, stream_base=11, threads=t) for t in (1, 2, 3)]
-    assert estimates[0] == estimates[1] == estimates[2]
+                 for t in threads]
+    samples = [exit_sample(DISK, x0, CFG, 27, n, stream_base=11, threads=t) for t in threads]
+    assert all(est == estimates[0] for est in estimates[1:])
     for batch in samples[1:]:
         for field in ("exit_points", "steps", "truncated"):
             assert getattr(batch, field).tobytes() == getattr(samples[0], field).tobytes()
@@ -335,8 +340,8 @@ _PINNED = {
     "witness": ("261a094e28b78bc6fdf987b5b8093bf952cc7d2fba8ddc6344f7080bd5b4f7f7", 8192,
                 lambda threads: analysis.irregularity_witness(
                     DISK, (1.0, 0.0), [0.1, 0.05], [0.05, 0.01], 200, 3, threads=threads)),
-    # three probes of 30 walks, one start per walk, in 80-walk spans that
-    # straddle probes
+    # three probes of 30 walks, one start per walk, in chunk-aligned spans
+    # that straddle probes
     "regularity": ("81c3760aedf7a4231dad38792813db7313307ee9add597f45ed0df2ad8febb0d", 40,
                    lambda threads: analysis.estimate_regularity(
                        DISK, (1.0, 0.0), 0.5, 0.2, 0.2, 3, 30, 29, threads=threads)),
@@ -400,13 +405,59 @@ def test_field_void_grid_packs_its_points_into_four_kernel_calls(monkeypatch):
     assert field.counts[inside].tolist() == [1000] * 56
 
 
-def test_one_large_point_keeps_spans_of_two_chunks(monkeypatch):
+def test_one_large_point_runs_one_span_per_thread(monkeypatch):
+    # 65 536 walks are 8 chunks: ceil(8 / threads) chunks a span
+    main = threading.get_ident()
+    for threads, sizes in [(1, [65536]), (2, [32768, 32768]), (3, [24576, 24576, 16384])]:
+        calls = _spy_kernel(monkeypatch)
+        est = estimate_value(DISK, Coordinate(1), (0.25, 0.0), CFG, 5, 65536, stream_base=3,
+                             threads=threads)
+        bounds = np.cumsum([0] + sizes).tolist()
+        assert sorted(call[:2] for call in calls) == [
+            (list(range(3 + lo, 3 + hi)), (2,)) for lo, hi in zip(bounds, bounds[1:])]
+        assert (est.n, est.mean, est.stderr) == (65536, 0.25, 0.0)
+        # one span runs on the calling thread, several on pool threads
+        on_main = {thread == main for _, _, thread in calls}
+        assert on_main == {threads == 1}, threads
+        # exit_sample cuts its walks the same way
+        calls.clear()
+        exit_sample(DISK, (0.25, 0.0), CFG, 5, 65536, stream_base=3, threads=threads)
+        assert sorted(len(idx) for idx, _, _ in calls) == sorted(sizes)
+    # 300 000 walks are 37 chunks; a span holds at most _SPAN_CHUNKS of them
     calls = _spy_kernel(monkeypatch)
-    est = estimate_value(DISK, Coordinate(1), (0.25, 0.0), CFG, 5, 65536, stream_base=3,
-                         threads=2)
-    assert sorted(call[:2] for call in calls) == [
-        (list(range(3 + k * 16384, 3 + (k + 1) * 16384)), (2,)) for k in range(4)]
-    assert (est.n, est.mean, est.stderr) == (65536, 0.25, 0.0)
+    estimate_value(DISK, Coordinate(1), (0.25, 0.0), CFG, 5, 300_000, threads=1)
+    assert [len(idx) for idx, _, _ in calls] == [65536] * 4 + [37856]
+
+
+def test_points_of_a_field_are_cut_no_finer_than_a_packed_span(monkeypatch):
+    # Three points of two chunks at 2 threads: the points fan out whole, one
+    # call each, where one point alone would run in two one-chunk spans.
+    calls = _spy_kernel(monkeypatch)
+    pts = [(0.1, 0.0), (-0.3, 0.2), (0.0, 0.4)]
+    estimate_field(DISK, Coordinate(1), pts, CFG, 5, 16384, threads=2)
+    assert sorted(idx[0] for idx, _, _ in calls) == [0, 16384, 32768]
+    assert {len(idx) for idx, _, _ in calls} == {16384}
+    calls.clear()
+    estimate_field(DISK, Coordinate(1), pts[:1], CFG, 5, 16384, threads=2)
+    assert sorted(len(idx) for idx, _, _ in calls) == [8192, 8192]
+
+
+@given(st.integers(1, 200_000), st.integers(1, 64), st.integers(1, 3), st.integers(1, 9000))
+@settings(max_examples=300, deadline=None)
+def test_spans_tile_the_walks_in_chunk_aligned_spans(n, threads, least, chunk):
+    with mock.patch.object(estimator, "_CHUNK", chunk):
+        spans = estimator._spans(n, threads, least)
+    cap = estimator._SPAN_CHUNKS * chunk
+    sizes = [hi - lo for lo, hi in spans]
+    # in order, end to end, none empty
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert all(lo < hi <= lo + cap and lo % chunk == 0 for lo, hi in spans)
+    # equal spans but the last, each of at least ``least`` chunks
+    assert len(set(sizes[:-1])) <= 1
+    assert all(size >= least * chunk for size in sizes[:-1])
+    # one span per thread at most, unless the cap binds
+    assert len(spans) <= threads or sizes[0] == cap
 
 
 def test_points_above_half_a_span_fan_out_as_before(monkeypatch):
