@@ -13,7 +13,9 @@ overestimates, so a ball of that radius always stays interior).
 Projections are nudged a few ulps outward so the returned point is never
 ``contains``-true after rounding; a projection onto a puncture returns the
 center itself.  The nudge is ~1e-14 relative, far inside the 1e-12
-distance-agreement budget.
+distance-agreement budget.  Box distances are folded coordinate by coordinate
+in a fixed order; only rows on or outside the boundary reduce along the
+coordinate axis (the norm), and no row's bits depend on its batch.
 """
 
 from __future__ import annotations
@@ -221,15 +223,21 @@ class Box(Domain):
         return f"Box(min_corner={self.min_corner.tolist()}, max_corner={self.max_corner.tolist()})"
 
     def _sd(self, pts: _Array) -> _Array:
-        d = np.maximum(self.min_corner - pts, pts - self.max_corner)
-        outside = _norms(np.maximum(d, 0.0))
-        inside = np.minimum(np.max(d, axis=1), 0.0)
-        return outside + inside
+        # The largest face margin by column; rows outside or on a face take the norm.
+        lo, hi = self.min_corner, self.max_corner
+        sd = np.full(pts.shape[0], -np.inf)
+        col = np.empty_like(sd)
+        for i in range(self.dim):
+            np.maximum(sd, np.subtract(lo[i], pts[:, i], out=col), out=sd)
+            np.maximum(sd, np.subtract(pts[:, i], hi[i], out=col), out=sd)
+        out = sd >= 0.0
+        if np.any(out):
+            sd[out] = _norms(np.maximum(np.maximum(lo - pts[out], pts[out] - hi), 0.0))
+        return sd
 
     def _project(self, pts: _Array) -> _Array:
         p = np.clip(pts, self.min_corner, self.max_corner)
-        d = np.maximum(self.min_corner - pts, pts - self.max_corner)
-        interior = np.all(d < 0.0, axis=1)
+        interior = self._sd(pts) < 0.0
         if np.any(interior):
             rows = np.nonzero(interior)[0]
             sub = pts[rows]

@@ -23,8 +23,10 @@ from ballwalk import (
     Box,
     Constant,
     Coordinate,
+    Difference,
     DistanceTo,
     Estimate,
+    HalfspaceIntersection,
     HarmonicOracle,
     HarmonicQuadratic,
     Linear,
@@ -316,6 +318,11 @@ def _pinned_field(n):
                                           threads=threads)
 
 
+# The benchmark's field_void domain: box(0,0,0;1,1,1) minus ball(0.5,0.5,0.5;0.3).
+VOID = Difference(Box((0.0,) * 3, (1.0,) * 3), Ball((0.5,) * 3, 0.3))
+_VOID_POINTS = [(0.1, 0.2, 0.3), (0.5, 0.5, 0.9), (0.9, 0.15, 0.6), (0.5, 0.5, 0.5)]
+
+
 # Digests of the results, with the chunk size each was run at.  They were
 # pinned from the per-point estimator that packing replaced, and re-pinned
 # when the closed-form 2-D sampler replaced Box-Muller.  2-D bits are the
@@ -354,7 +361,43 @@ _PINNED = {
                  lambda threads: analysis.irregularity_witness(
                      PuncturedBall((0.0, 0.0), 1.0), (0.0, 0.0), [0.1, 0.05], [0.05, 0.01],
                      100, 3, threads=threads)),
+    # a field on the benchmark's box minus a ball, the last point in the hole
+    "void_field": ("36effec5ac9d75d8c0e90782d4b06c8e58ee429e7c5d8830cb097d83161ca2c6", 40,
+                   lambda threads: estimate_field(
+                       VOID, HarmonicQuadratic(np.diag([1.0, -0.5, -0.5])), _VOID_POINTS,
+                       WalkConfig(0.1), 37, 30, stream_base=11, threads=threads)),
 }
+
+
+# Walk batches on boxes, polytopes and VOID, with their ball and sphere walk
+# digests: the non-round walk domains of test_walk.py, an octagon, a 5-D
+# cube and VOID.  The thread count plays no part.  Pinned before box
+# distances were computed column by column.
+_NON_ROUND_WALKS = {
+    "box3": (Box((-1.0, -0.5, -0.2), (0.5, 1.0, 0.8)),
+             "cf923150576aa617b54c2bfbb7a5af140ed404a1808d060a85564c56e35a0f47",
+             "d67df871449edf2ed04736c190e3cbc5d44917601c1e989c9f596209ee7204d2"),
+    "octagon": (HalfspaceIntersection([((np.cos(a), np.sin(a)), 1.0)
+                                       for a in 0.3 + 2.0 * np.pi * np.arange(8) / 8]),
+                "8ae109edef9426fa434fa3fd0723accdb9d36e56be4befd83ac487c6bd24e867",
+                "25f5485d37e5ceea3e8472bd85b80c1b4f703163e54ed457d675e1856737a443"),
+    "octahedron": (HalfspaceIntersection([((a, 0.5 * b, 0.25 * c), 1.0) for a in (1.0, -1.0)
+                                          for b in (1.0, -1.0) for c in (1.0, -1.0)]),
+                   "857a8757433455cb60591468abb6467b1c4721cb70e9a54c60fd7e8844ae22d7",
+                   "b7d7d2c2d03af7f537d5114a8cfb54d5c8290b8e2a2e66328c2ed1e848d96f2f"),
+    "cube5": (HalfspaceIntersection([(row, 1.0) for row in np.vstack([np.eye(5), -np.eye(5)])]),
+              "1e89529b6411d6bd0a277a13aea6127dc67c3d021dedf1db57f61c7c9f7986ea",
+              "ce086bdcf9dae458cfd286d285bf474277a2150aa987fa7e41a05a313fd19014"),
+    "void": (VOID,
+             "5c5c29054b26d60984f2e7551b66cea80d1b53068df57eedeea518acb7d206fc",
+             "52e8b5e0584e6988f209267642e1c5899e308b6b0c89c45f5efb96d68237e3b6"),
+}
+_PINNED.update({
+    f"walks_{name}_{kind}": (digest, 8192, lambda threads, domain=domain, kind=kind: run_walks(
+        domain, (0.1,) * domain.dim, WalkConfig(0.1, kind=kind), 29, range(300)))
+    for name, (domain, *digests) in _NON_ROUND_WALKS.items()
+    for kind, digest in zip(("ball", "sphere"), digests)
+})
 
 
 @pytest.mark.parametrize("name", list(_PINNED))

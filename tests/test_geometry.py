@@ -208,6 +208,56 @@ def test_signed_distance_is_1_lipschitz(j, seed, gap):
     assert np.all(np.abs(domain.signed_distance(x) - domain.signed_distance(y)) <= bound)
 
 
+def _unit_cube(n):
+    """[0, 1]^n as 2n halfspaces; the normals -e_i carry -0.0 entries."""
+    return HalfspaceIntersection(
+        [(row, b) for rows, b in ((np.eye(n), 1.0), (-np.eye(n), 0.0)) for row in rows])
+
+
+# Every shape above, and boxes and cube polytopes in the dimensions the walks
+# are checked in; BOXES are those whose distances are built by column.
+ROW_SHAPES = LIPSCHITZ_SHAPES + [
+    shape for n in (1, 2, 3, 5, 16) for shape in (
+        Box((0.0,) * n, (1.0,) * n), Box(-np.linspace(0.5, 2.0, n), (0.0,) * n), _unit_cube(n))]
+BOXES = [s for s in ROW_SHAPES if isinstance(s, Box)]
+
+
+def _box_sd_reference(box, pts):
+    """Box._sd as it was written with (m, n) temporaries and a row reduction."""
+    d = np.maximum(box.min_corner - pts, pts - box.max_corner)
+    v = np.maximum(d, 0.0)
+    return np.sqrt(np.einsum("ij,ij->i", v, v)) + np.minimum(np.max(d, axis=1), 0.0)
+
+
+def _rows_around(domain):
+    """Batches of points inside, outside, and exactly on faces and corners:
+    each coordinate is a bounding-box end, one of 0, -0, 1, -1 and 0.5, or
+    any value within a quarter of the box's width of it."""
+    lo, hi = domain.bounding_box()
+    coords = [st.one_of(st.sampled_from([lo[i], hi[i], 0.0, -0.0, 1.0, -1.0, 0.5]),
+                        st.floats(lo[i] - 0.25 * (hi[i] - lo[i]), hi[i] + 0.25 * (hi[i] - lo[i])))
+              for i in range(domain.dim)]
+    return st.lists(st.tuples(*coords), min_size=1, max_size=24).map(np.array)
+
+
+# Bitwise comparisons (tobytes), so that -0.0 and +0.0 differ.
+@pytest.mark.parametrize("domain", ROW_SHAPES, ids=repr)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_sd_of_a_batch_is_the_sd_of_each_row_alone(domain, data):
+    pts = data.draw(_rows_around(domain))
+    alone = [domain._sd(pts[r:r + 1]) for r in range(pts.shape[0])]
+    assert domain._sd(pts).tobytes() == np.concatenate(alone).tobytes()
+
+
+@pytest.mark.parametrize("domain", BOXES, ids=repr)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_box_sd_keeps_the_bits_of_its_matrix_form(domain, data):
+    pts = data.draw(_rows_around(domain))
+    assert domain._sd(pts).tobytes() == _box_sd_reference(domain, pts).tobytes()
+
+
 def test_parse_domain_forms():
     assert isinstance(parse_domain("ball(0,0;1)"), Ball)
     assert isinstance(parse_domain("box(0,0;1,1)"), Box)

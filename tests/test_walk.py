@@ -490,19 +490,29 @@ def test_long_walks_leap(monkeypatch):
 
 
 # Digests of ball and sphere walk batches in the given dimensions, one line
-# each: a 2-D disk, a 3-D box and balls in every other dimension.
+# each: a 2-D disk; a 3-D box, octahedron and box minus a ball; and balls in
+# every other dimension.
 _WALK_DIGESTS = """
 import hashlib
-from ballwalk import Ball, Box, WalkConfig, run_walks
+from ballwalk import Ball, Box, Difference, HalfspaceIntersection, WalkConfig, run_walks
+
+def domains(dim):
+    if dim != 3:
+        return [Ball((0.0,) * dim, 1.0)]
+    signs = [(a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)]
+    return [Box((-1.0, -0.5, -0.2), (0.5, 1.0, 0.8)),
+            HalfspaceIntersection([((a, 0.5 * b, 0.25 * c), 1.0) for a, b, c in signs]),
+            Difference(Box((0.0,) * 3, (1.0,) * 3), Ball((0.5,) * 3, 0.3))]
 
 def digests(dims):
     lines = []
     for dim in dims:
-        domain = Box((-1.0, -0.5, -0.2), (0.5, 1.0, 0.8)) if dim == 3 else Ball((0.0,) * dim, 1.0)
-        for kind in ("ball", "sphere"):
-            batch = run_walks(domain, (0.1,) * dim, WalkConfig(0.1, kind=kind), 31, range(1000))
-            h = hashlib.sha256(batch.exit_points.tobytes() + batch.steps.tobytes())
-            lines.append(f"{dim} {kind} {h.hexdigest()}")
+        for domain in domains(dim):
+            for kind in ("ball", "sphere"):
+                cfg = WalkConfig(0.1, kind=kind)
+                batch = run_walks(domain, (0.1,) * dim, cfg, 31, range(1000))
+                h = hashlib.sha256(batch.exit_points.tobytes() + batch.steps.tobytes())
+                lines.append(f"{dim} {domain!r} {kind} {h.hexdigest()}")
     return lines
 """
 
