@@ -21,8 +21,8 @@ import ballwalk as bw
 punct = bw.PuncturedBall((0.0, 0.0), 1.0)
 tol = 1e-80
 
-table = bw.irregularity_witness(punct, (0.0, 0.0), [0.1], [1e-2, 1e-3],
-                                2000, 314, stop_tolerance=tol)
+table = bw.irregularity_witness(punct, (0.0, 0.0), [bw.WalkConfig(0.1, stop_tolerance=tol)],
+                                [1e-2, 1e-3], 2000, 314)
 print("start dist   estimate of |exit|        predicted P(puncture)")
 for row in table.rows:
     predicted = math.log(1.0 / row.start_distance) / math.log(1.0 / tol)
@@ -32,7 +32,8 @@ print("\nF at the puncture is 0; the estimates ignore it entirely.")
 
 print("\nthe same probe at a regular point, for contrast (unit disk, y0=(1,0)):")
 disk = bw.Ball((0.0, 0.0), 1.0)
-control = bw.irregularity_witness(disk, (1.0, 0.0), [0.1], [1e-2, 1e-3], 2000, 314)
+control = bw.irregularity_witness(disk, (1.0, 0.0), [bw.WalkConfig(0.1)], [1e-2, 1e-3],
+                                  2000, 314)
 for row in control.rows:
     print(f"  {row.start_distance:<9}  {row.mean:.4f} +- {row.stderr:.4f}")
 print("estimates follow the data toward F(y0) = 0: the point is regular.")

@@ -10,7 +10,7 @@ import ballwalk as bw
 ball = bw.Ball((0.0, 0.0, 0.0), 1.0)
 y0 = (1.0, 0.0, 0.0)
 
-report = bw.estimate_regularity(ball, y0, 0.3, 0.02, 0.05, 4, 2000, 5)
+report = bw.estimate_regularity(ball, y0, 0.3, 0.02, bw.WalkConfig(0.05), 4, 2000, 5)
 print(f"probes within {report.delta_hat} of {y0}, exits counted inside B(y0, {report.delta}):")
 for probe in report.probes:
     print(f"  start {tuple(round(float(v), 4) for v in probe.x0)}"
@@ -29,6 +29,6 @@ bound = bw.cone_bound_theta0(3, big_r)
 delta = 0.5
 delta_hat = delta / (4.0 + 2.0 * big_r)
 x0 = (1.0 - 0.8 * delta_hat, 0.0, 0.0)
-p, se = bw.estimate_escape_probability(ball, y0, delta, x0, 0.01, 4000, 314)
+p, se = bw.estimate_escape_probability(ball, y0, delta, x0, bw.WalkConfig(0.01), 4000, 314)
 print(f"\nescape past {delta} before hitting the boundary, started {delta_hat:.4f} from y0:")
 print(f"  empirical {p:.4f} +- {se:.4f}  vs cone bound {bound:.4f}  (R={big_r:.1f})")

@@ -261,13 +261,11 @@ def estimate_regularity(
     y0,
     delta: float,
     delta_hat: float,
-    epsilon: float,
+    config: WalkConfig,
     probe_count: int,
     n_walks: int,
     master_seed: int,
     *,
-    stop_tolerance: float | None = None,
-    max_steps: int = 10_000_000,
     threads: int = 1,
 ) -> RegularityReport:
     """Probe P(exit lands within delta of y0) from starts near y0.
@@ -304,7 +302,6 @@ def estimate_regularity(
             f"delta_hat={delta_hat} of y0")
     probe_points = candidates[found[:probe_count]]
 
-    config = WalkConfig(epsilon=epsilon, stop_tolerance=stop_tolerance, max_steps=max_steps)
     starts = [row.copy() for row in probe_points]
     for x0 in starts:
         x0.setflags(write=False)
@@ -312,7 +309,7 @@ def estimate_regularity(
         probes = tuple(RegularityProbe(x0=x0, probability=1.0, stderr=0.0, n=0)
                        for x0 in starts)
         return RegularityReport(y0=y0, delta=delta, delta_hat=delta_hat,
-                                epsilon=float(epsilon), probes=probes)
+                                epsilon=float(config.epsilon), probes=probes)
     batch = exit_sample(domain, np.repeat(probe_points, n_walks, axis=0), config,
                         master_seed, len(starts) * n_walks, threads=threads)
     hits = np.linalg.norm(batch.exit_points - y0, axis=1) <= delta
@@ -322,7 +319,7 @@ def estimate_regularity(
         p, stderr, n_ok = _binomial(hits[walks], batch.truncated[walks])
         probes.append(RegularityProbe(x0=x0, probability=p, stderr=stderr, n=n_ok))
     return RegularityReport(y0=y0, delta=delta, delta_hat=delta_hat,
-                            epsilon=float(epsilon), probes=tuple(probes))
+                            epsilon=float(config.epsilon), probes=tuple(probes))
 
 
 def estimate_escape_probability(
@@ -330,12 +327,10 @@ def estimate_escape_probability(
     y0,
     delta: float,
     x0,
-    epsilon: float,
+    config: WalkConfig,
     n_walks: int,
     master_seed: int,
     *,
-    stop_tolerance: float | None = None,
-    max_steps: int = 10_000_000,
     threads: int = 1,
 ) -> tuple[float, float]:
     """Fraction of walks from x0 whose excursion from y0 ever reaches delta.
@@ -343,12 +338,12 @@ def estimate_escape_probability(
     The excursion is sup over the path of |x_t - y0| including the start, so
     |x0 - y0| >= delta returns (1.0, 0.0) exactly and delta >= |x0 - y0| +
     diam(D) returns (0.0, 0.0) exactly, both without simulation but after
-    x0 and the walk parameters are checked like any other call's.  Escape is
-    a ring stop at (y0, delta): a walk escapes when its first position at
-    distance delta or more from y0 comes no later than its boundary stop, so
-    an escaped walk is never truncated.  Walk k uses stream k.  Under a
-    shared seed the result is monotone nonincreasing in delta samplewise:
-    the paths are identical and only the threshold moves.
+    x0 and the walk and thread counts are checked like any other call's.
+    Escape is a ring stop at (y0, delta): a walk escapes when its first
+    position at distance delta or more from y0 comes no later than its
+    boundary stop, so an escaped walk is never truncated.  Walk k uses
+    stream k.  Under a shared seed the result is monotone nonincreasing in
+    delta samplewise: the paths are identical and only the threshold moves.
     """
     y0 = _domain_point(domain, y0)
     x0 = _domain_point(domain, x0)
@@ -359,8 +354,6 @@ def estimate_escape_probability(
     threads = _count(threads, "threads")
     if not domain.contains(x0):
         raise ValueError("x0 must lie inside the open domain")
-    config = WalkConfig(epsilon=epsilon, stop_tolerance=stop_tolerance,
-                        max_steps=max_steps)
     # The row-wise norm of the ring stop's test at iteration 0, bit for bit.
     start_distance = float(np.linalg.norm((x0 - y0)[None, :], axis=1)[0])
     if start_distance >= delta:
@@ -457,41 +450,39 @@ def _approach_direction(domain: Domain, y0: _Array, distances) -> _Array:
 def irregularity_witness(
     domain: Domain,
     y0,
-    epsilons,
+    configs,
     start_distances,
     n_walks: int,
     master_seed: int,
     *,
-    stop_tolerance: float | None = None,
-    max_steps: int = 10_000_000,
     threads: int = 1,
 ) -> IrregularityTable:
     """Tabulate estimates for F(x) = |x - y0| at starts approaching y0.
 
     Start points march toward y0 along a fixed interior direction (axis
-    directions are tried first, then the inward radial one).  Row k runs
-    walks on streams [k * n_walks, (k + 1) * n_walks).
+    directions are tried first, then the inward radial one).  Each walk
+    config gives one row per start distance, configs in order, and the rows
+    carry its epsilon.  Row k runs walks on streams
+    [k * n_walks, (k + 1) * n_walks).
     """
     y0 = _domain_point(domain, y0)
     n_walks = _count(n_walks, "n_walks", 2)
-    eps_list = [float(e) for e in np.atleast_1d(np.asarray(epsilons, dtype=np.float64))]
+    configs = list(configs)
     dist_list = [float(d) for d in np.atleast_1d(np.asarray(start_distances, dtype=np.float64))]
-    if not eps_list or not dist_list:
-        raise ValueError("need at least one epsilon and one start distance")
+    if not configs or not dist_list:
+        raise ValueError("need at least one walk config and one start distance")
     if not all(0.0 < d < math.inf for d in dist_list):
         raise ValueError("start distances must be positive and finite")
     direction = _approach_direction(domain, y0, dist_list)
     data = DistanceTo(y0)
     starts = y0 + np.asarray(dist_list)[:, None] * direction
     rows = []
-    for i, eps in enumerate(eps_list):
-        config = WalkConfig(epsilon=eps, stop_tolerance=stop_tolerance,
-                            max_steps=max_steps)
+    for i, config in enumerate(configs):
         field = estimate_field(domain, data, starts, config, master_seed, n_walks,
                                stream_base=i * len(dist_list) * n_walks, threads=threads)
         for j, d in enumerate(dist_list):
             est = field.estimate_at(j)
-            rows.append(WitnessRow(epsilon=eps, start_distance=d, x0=field.points[j],
-                                   mean=est.mean, stderr=est.stderr, n=est.n,
-                                   truncated_count=est.truncated_count))
+            rows.append(WitnessRow(epsilon=float(config.epsilon), start_distance=d,
+                                   x0=field.points[j], mean=est.mean, stderr=est.stderr,
+                                   n=est.n, truncated_count=est.truncated_count))
     return IrregularityTable(y0=y0, rows=tuple(rows))

@@ -41,7 +41,7 @@ class RunConfig:
     data: str | None = None
     eps: float | None = None
     stop_tol: float | None = None
-    max_steps: int = 10_000_000
+    max_steps: int = WalkConfig.max_steps
     walks: int = 10_000
     seed: int = 0
     threads: int = 1
@@ -347,9 +347,8 @@ def _run_regularity(config: RunConfig) -> _Report:
     _require(config, "y0", "delta", "delta_hat", "eps")
     domain = _domain(config)
     report = analysis.estimate_regularity(
-        domain, config.y0, config.delta, config.delta_hat, config.eps,
-        config.probes, config.walks, config.seed,
-        stop_tolerance=config.stop_tol, max_steps=config.max_steps, threads=config.threads)
+        domain, config.y0, config.delta, config.delta_hat, _walk_config(config),
+        config.probes, config.walks, config.seed, threads=config.threads)
     checks = ()
     if config.threshold is not None:
         checks = (_check("min_probe_probability", report.min_probability,
@@ -370,9 +369,8 @@ def _run_escape(config: RunConfig) -> _Report:
     domain = _domain(config)
     bound = None if config.R is None else analysis.cone_bound_theta0(domain.dim, config.R)
     p, stderr = analysis.estimate_escape_probability(
-        domain, config.y0, config.delta, config.x0, config.eps, config.walks,
-        config.seed, stop_tolerance=config.stop_tol, max_steps=config.max_steps,
-        threads=config.threads)
+        domain, config.y0, config.delta, config.x0, _walk_config(config), config.walks,
+        config.seed, threads=config.threads)
     result = {"probability": p, "stderr": stderr}
     if bound is None:
         return _Report(result, ["probability", "stderr"], [[p, stderr]])
@@ -429,9 +427,8 @@ def _run_irregularity(config: RunConfig) -> _Report:
     _require(config, "y0", "distances", "eps")
     domain = _domain(config)
     table = analysis.irregularity_witness(
-        domain, config.y0, [config.eps], config.distances, config.walks,
-        config.seed, stop_tolerance=config.stop_tol, max_steps=config.max_steps,
-        threads=config.threads)
+        domain, config.y0, [_walk_config(config)], config.distances, config.walks,
+        config.seed, threads=config.threads)
     rows = [[r.epsilon, r.start_distance, r.mean, r.stderr, r.n, r.truncated_count]
             for r in table.rows]
     return _Report({"table": table},

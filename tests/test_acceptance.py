@@ -144,7 +144,7 @@ def test_criterion_6_cone_bound():
     ball = bw.Ball((0.0, 0.0, 0.0), 1.0)
     x0 = (1.0 - 0.8 * delta_hat, 0.0, 0.0)
     p, se = bw.estimate_escape_probability(ball, (1.0, 0.0, 0.0), delta, x0,
-                                           0.01, 4000, 314)
+                                           bw.WalkConfig(0.01), 4000, 314)
     escape_ok = p <= bound + 4.0 * se
     _report(
         "criterion 6, cone bound",
@@ -157,15 +157,16 @@ def test_criterion_6_cone_bound():
 def test_criterion_7_regularity_and_its_failure():
     # regular point: probes next to (1,0) on the disk exit nearby
     disk = bw.Ball((0.0, 0.0), 1.0)
-    report = bw.estimate_regularity(disk, (1.0, 0.0), 0.3, 0.02, 0.01, 5, 2000, 5)
+    report = bw.estimate_regularity(disk, (1.0, 0.0), 0.3, 0.02, bw.WalkConfig(0.01), 5,
+                                    2000, 5)
     regular_ok = report.min_probability >= 0.95
 
     # puncture: walks started next to it exit at the far circle instead.
     # The 1e-80 stop tolerance is only reachable where float resolution is
     # relative (near the puncture); the outer circle absorbs by rounding.
     punct = bw.PuncturedBall((0.0, 0.0), 1.0)
-    table = bw.irregularity_witness(punct, (0.0, 0.0), [0.1], [1e-2, 1e-3],
-                                    2000, 314, stop_tolerance=1e-80)
+    deep = bw.WalkConfig(0.1, stop_tolerance=1e-80)
+    table = bw.irregularity_witness(punct, (0.0, 0.0), [deep], [1e-2, 1e-3], 2000, 314)
     witness_ok = True
     rows = []
     for row in table.rows:
@@ -194,7 +195,7 @@ def test_criterion_8_martingale_and_comparison():
     ps = []
     for delta in (0.3, 0.5, 0.7):
         p, _ = bw.estimate_escape_probability(disk, (1.0, 0.0), delta, (0.97, 0.0),
-                                              0.02, 2000, 9)
+                                              bw.WalkConfig(0.02), 2000, 9)
         ps.append(p)
     ok = stat < 4.0 and low.mean <= high.mean and ps[0] >= ps[1] >= ps[2]
     _report(

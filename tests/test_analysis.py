@@ -184,7 +184,7 @@ def test_exit_measure_validation(monkeypatch):
 
 
 def test_regular_point_on_the_ball():
-    report = estimate_regularity(DISK, (1.0, 0.0), 0.3, 0.02, 0.05, 2, 800, 5)
+    report = estimate_regularity(DISK, (1.0, 0.0), 0.3, 0.02, WalkConfig(0.05), 2, 800, 5)
     assert report.min_probability >= 0.95
     assert len(report.probes) == 2
     for probe in report.probes:
@@ -197,7 +197,7 @@ def test_regular_point_on_the_ball():
 def test_puncture_is_irregular():
     domain = PuncturedBall((0.0, 0.0), 1.0)
     report = estimate_regularity(
-        domain, (0.0, 0.0), 0.5, 1e-3, 0.1, 1, 200, 5, stop_tolerance=1e-80
+        domain, (0.0, 0.0), 0.5, 1e-3, WalkConfig(0.1, stop_tolerance=1e-80), 1, 200, 5
     )
     # walks from next to the puncture overwhelmingly exit at the far circle
     assert report.min_probability <= 0.12
@@ -221,7 +221,8 @@ def test_regularity_batch_equals_probe_by_probe(threads):
     # 3 probes of n walks with 2n > _CHUNK: the first chunk ends inside probe 1
     n = _CHUNK // 2 + 100
     y0 = np.array([1.0, 0.0])
-    report = estimate_regularity(DISK, y0, 0.3, 0.02, 0.2, 3, n, 8, threads=threads)
+    report = estimate_regularity(DISK, y0, 0.3, 0.02, WalkConfig(0.2), 3, n, 8,
+                                 threads=threads)
     got = [(p.probability, p.stderr, p.n) for p in report.probes]
     want = _regularity_probe_by_probe(DISK, y0, 0.3, [p.x0 for p in report.probes], 0.2,
                                       n, 8, threads)
@@ -229,7 +230,7 @@ def test_regularity_batch_equals_probe_by_probe(threads):
 
 
 def test_regularity_trivial_when_delta_covers_the_domain():
-    report = estimate_regularity(DISK, (1.0, 0.0), 2.5, 0.02, 0.05, 2, 10, 0)
+    report = estimate_regularity(DISK, (1.0, 0.0), 2.5, 0.02, WalkConfig(0.05), 2, 10, 0)
     for probe in report.probes:
         assert probe.probability == 1.0
         assert probe.stderr == 0.0
@@ -238,7 +239,7 @@ def test_regularity_trivial_when_delta_covers_the_domain():
 
 def test_regularity_requires_boundary_point():
     with pytest.raises(ValueError):
-        estimate_regularity(DISK, (0.5, 0.0), 0.3, 0.02, 0.05, 2, 10, 0)
+        estimate_regularity(DISK, (0.5, 0.0), 0.3, 0.02, WalkConfig(0.05), 2, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +248,19 @@ def test_regularity_requires_boundary_point():
 
 def test_escape_trivial_cases():
     assert estimate_escape_probability(
-        DISK, (1.0, 0.0), 0.05, (0.9, 0.0), 0.02, 10, 0
+        DISK, (1.0, 0.0), 0.05, (0.9, 0.0), WalkConfig(0.02), 10, 0
     ) == (1.0, 0.0)
     assert estimate_escape_probability(
-        DISK, (1.0, 0.0), 5.0, (0.9, 0.0), 0.02, 10, 0
+        DISK, (1.0, 0.0), 5.0, (0.9, 0.0), WalkConfig(0.02), 10, 0
     ) == (0.0, 0.0)
     # The shortcut and the ring stop measure the start alike: delta equal to
     # the start distance escapes without a step, and one ulp more runs walks
     # that all start inside the ring.
     y0, x0 = np.array([1.0, 0.0]), np.array([0.93, 0.01])
     d = float(np.linalg.norm((x0 - y0)[None, :], axis=1)[0])
-    assert estimate_escape_probability(DISK, y0, d, x0, 0.02, 200, 4) == (1.0, 0.0)
-    p, _ = estimate_escape_probability(DISK, y0, np.nextafter(d, 1.0), x0, 0.02, 200, 4)
+    assert estimate_escape_probability(DISK, y0, d, x0, WalkConfig(0.02), 200, 4) == (1.0, 0.0)
+    p, _ = estimate_escape_probability(DISK, y0, np.nextafter(d, 1.0), x0, WalkConfig(0.02),
+                                       200, 4)
     assert 0.0 < p < 1.0
 
 
@@ -267,19 +269,22 @@ def test_closed_form_shortcuts_validate_walks(n_walks):
     # The walk and thread counts are refused before any shortcut answers
     # without walks; each bad walk count is a bad thread count too.
     with pytest.raises(ValueError, match="n_walks"):
-        estimate_regularity(DISK, (1.0, 0.0), 5.0, 0.02, 0.1, 2, n_walks, 0)
+        estimate_regularity(DISK, (1.0, 0.0), 5.0, 0.02, WalkConfig(0.1), 2, n_walks, 0)
     with pytest.raises(ValueError, match="n_walks"):
-        estimate_escape_probability(DISK, (1.0, 0.0), 0.05, (0.9, 0.0), 0.02, n_walks, 0)
+        estimate_escape_probability(DISK, (1.0, 0.0), 0.05, (0.9, 0.0), WalkConfig(0.02),
+                                    n_walks, 0)
     with pytest.raises(ValueError, match="n_walks"):
-        estimate_escape_probability(DISK, (1.0, 0.0), 5.0, (0.9, 0.0), 0.02, n_walks, 0)
+        estimate_escape_probability(DISK, (1.0, 0.0), 5.0, (0.9, 0.0), WalkConfig(0.02),
+                                    n_walks, 0)
     threads = n_walks
     with pytest.raises(ValueError, match="threads"):
-        estimate_regularity(DISK, (1.0, 0.0), 5.0, 0.02, 0.1, 2, 10, 0, threads=threads)
+        estimate_regularity(DISK, (1.0, 0.0), 5.0, 0.02, WalkConfig(0.1), 2, 10, 0,
+                            threads=threads)
     with pytest.raises(ValueError, match="threads"):
-        estimate_escape_probability(DISK, (1.0, 0.0), 0.05, (0.9, 0.0), 0.02, 10, 0,
+        estimate_escape_probability(DISK, (1.0, 0.0), 0.05, (0.9, 0.0), WalkConfig(0.02), 10, 0,
                                     threads=threads)
     with pytest.raises(ValueError, match="threads"):
-        estimate_escape_probability(DISK, (1.0, 0.0), 5.0, (0.9, 0.0), 0.02, 10, 0,
+        estimate_escape_probability(DISK, (1.0, 0.0), 5.0, (0.9, 0.0), WalkConfig(0.02), 10, 0,
                                     threads=threads)
 
 
@@ -287,7 +292,7 @@ def test_escape_monotone_in_delta():
     ps = []
     for delta in (0.3, 0.5, 0.7):
         p, se = estimate_escape_probability(
-            DISK, (1.0, 0.0), delta, (0.97, 0.0), 0.02, 500, 9
+            DISK, (1.0, 0.0), delta, (0.97, 0.0), WalkConfig(0.02), 500, 9
         )
         assert 0.0 <= p <= 1.0 and se >= 0.0
         ps.append(p)
@@ -300,22 +305,14 @@ def test_escape_needs_interior_start():
     # already reached and delta 10 is out of reach.
     for delta, x0 in ((0.5, (1.01, 0.0)), (0.5, (3.0, 0.0)), (10.0, (3.0, 0.0))):
         with pytest.raises(ValueError, match="inside"):
-            estimate_escape_probability(DISK, (1.0, 0.0), delta, x0, 0.02, 10, 0)
-
-
-@pytest.mark.parametrize("delta", [0.05, 5.0])
-def test_escape_shortcuts_check_the_walk_config(delta):
-    with pytest.raises(ValueError, match="epsilon"):
-        estimate_escape_probability(DISK, (1.0, 0.0), delta, (0.9, 0.0), 1.5, 10, 0)
-    with pytest.raises(ValueError, match="max_steps"):
-        estimate_escape_probability(DISK, (1.0, 0.0), delta, (0.9, 0.0), 0.02, 10, 0,
-                                    max_steps=0)
+            estimate_escape_probability(DISK, (1.0, 0.0), delta, x0, WalkConfig(0.02), 10, 0)
 
 
 @pytest.mark.parametrize("n_walks, threads", [(2.7, 1), (0, 1), (10, 0), (10, -3), (10, 1.5)])
 def test_escape_validates_walks_and_threads(n_walks, threads):
     with pytest.raises(ValueError):
-        estimate_escape_probability(DISK, (1.0, 0.0), 0.3, (0.97, 0.0), 0.02, n_walks, 0,
+        estimate_escape_probability(DISK, (1.0, 0.0), 0.3, (0.97, 0.0), WalkConfig(0.02),
+                                    n_walks, 0,
                                     threads=threads)
 
 
@@ -326,7 +323,7 @@ def test_escape_equals_one_run_walks_batch(threads):
     # |x - y0| reaches delta (checked on the first walks); more walks than
     # one chunk, so threads=2 splits them.
     n, y0, delta = _CHUNK + 500, np.array([1.0, 0.0]), 0.3
-    got = estimate_escape_probability(DISK, y0, delta, (0.9, 0.0), 0.2, n, 9,
+    got = estimate_escape_probability(DISK, y0, delta, (0.9, 0.0), WalkConfig(0.2), n, 9,
                                       threads=threads)
     batch = run_walks(DISK, (0.9, 0.0), WalkConfig(0.2), 9, range(n), ring=(y0, delta))
     ok = ~batch.truncated
@@ -403,7 +400,8 @@ def test_martingale_check_and_walk_config_refuse_an_epsilon_outside_the_unit_int
 
 
 def test_irregularity_witness_structure():
-    table = irregularity_witness(DISK, (1.0, 0.0), [0.1, 0.05], [0.05, 0.01], 200, 3)
+    table = irregularity_witness(DISK, (1.0, 0.0), [WalkConfig(0.1), WalkConfig(0.05)],
+                                 [0.05, 0.01], 200, 3)
     assert len(table.rows) == 4
     assert [r.epsilon for r in table.rows] == [0.1, 0.1, 0.05, 0.05]
     assert [r.start_distance for r in table.rows] == [0.05, 0.01, 0.05, 0.01]
@@ -416,20 +414,22 @@ def test_irregularity_witness_structure():
         assert row.stderr > 0.0
     # at a regular point the distance data stays near F(y0) = 0
     assert table.rows[3].mean < 0.25
-    again = irregularity_witness(DISK, (1.0, 0.0), [0.1, 0.05], [0.05, 0.01], 200, 3)
+    again = irregularity_witness(DISK, (1.0, 0.0), [WalkConfig(0.1), WalkConfig(0.05)],
+                                 [0.05, 0.01], 200, 3)
     assert [r.mean for r in again.rows] == [r.mean for r in table.rows]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_irregularity_witness_equals_point_by_point(threads):
     # row k (epsilon i, distance j) runs on streams [k*n, (k+1)*n), k = i*len(distances) + j
-    y0, epsilons, distances, n = np.array([1.0, 0.0]), [0.1, 0.05], [0.05, 0.01], 300
-    table = irregularity_witness(DISK, y0, epsilons, distances, n, 3, threads=threads)
+    y0, distances, n = np.array([1.0, 0.0]), [0.05, 0.01], 300
+    configs = [WalkConfig(0.1), WalkConfig(0.05)]
+    table = irregularity_witness(DISK, y0, configs, distances, n, 3, threads=threads)
     k = 0
-    for eps in epsilons:
+    for config in configs:
         for d in distances:
             x0 = y0 + d * np.array([-1.0, 0.0])
-            est = estimate_value(DISK, DistanceTo(y0), x0, WalkConfig(eps), 3, n,
+            est = estimate_value(DISK, DistanceTo(y0), x0, config, 3, n,
                                  stream_base=k * n, threads=threads)
             row = table.rows[k]
             assert np.array_equal(row.x0, x0)
@@ -440,14 +440,14 @@ def test_irregularity_witness_equals_point_by_point(threads):
 
 
 def test_irregularity_witness_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one walk config"):
         irregularity_witness(DISK, (1.0, 0.0), [], [0.01], 100, 0)
     with pytest.raises(ValueError):
-        irregularity_witness(DISK, (1.0, 0.0), [0.1], [-0.01], 100, 0)
+        irregularity_witness(DISK, (1.0, 0.0), [WalkConfig(0.1)], [-0.01], 100, 0)
     punctured = PuncturedBall((0.0, 0.0), 1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^start distances must be positive and finite$"):
-            irregularity_witness(punctured, (0.0, 0.0), [0.1], [0.05, bad], 10, 0)
+            irregularity_witness(punctured, (0.0, 0.0), [WalkConfig(0.1)], [0.05, bad], 10, 0)
 
 
 def test_cone_bound_refuses_a_dimension_above_the_cap():

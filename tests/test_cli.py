@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ballwalk import estimator
+from ballwalk import WalkConfig, estimator
 from ballwalk.cli import RunConfig, config_from_dict, emit_config, main, parse_config
 
 DISK_ARGS = ["--domain", "ball(0,0;1)", "--data", "coordinate(1)", "--x0", "0.3,0.4"]
@@ -93,6 +93,10 @@ def test_config_from_dict_coerces_every_field():
         config = config_from_dict(raw)
         assert config == expected
         assert type(config.grid[0]) is int and type(config.y0[0]) is float
+
+
+def test_step_cap_default_is_the_walk_configs():
+    assert config_from_dict({"command": "solve"}).max_steps == WalkConfig(0.1).max_steps
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -61,19 +61,19 @@ COUNTS = {
     "estimate_field.stream_base": ("stream_base", 0, lambda v: estimate_field(
         DISK, Coordinate(1), [X0], CFG, 1, 3, stream_base=v)),
     "estimate_regularity.probe_count": ("probe_count", 1, lambda v: estimate_regularity(
-        DISK, Y0, 0.3, 0.02, 0.1, v, 3, 1)),
+        DISK, Y0, 0.3, 0.02, WalkConfig(0.1), v, 3, 1)),
     "estimate_regularity.n_walks": ("n_walks", 1, lambda v: estimate_regularity(
-        DISK, Y0, 0.3, 0.02, 0.1, 2, v, 1)),
+        DISK, Y0, 0.3, 0.02, WalkConfig(0.1), 2, v, 1)),
     "estimate_regularity.threads": ("threads", 1, lambda v: estimate_regularity(
-        DISK, Y0, 0.3, 0.02, 0.1, 2, 3, 1, threads=v)),
+        DISK, Y0, 0.3, 0.02, WalkConfig(0.1), 2, 3, 1, threads=v)),
     "estimate_escape_probability.n_walks": ("n_walks", 1, lambda v: estimate_escape_probability(
-        DISK, Y0, 0.5, (0.9, 0.0), 0.1, v, 1)),
+        DISK, Y0, 0.5, (0.9, 0.0), WalkConfig(0.1), v, 1)),
     "estimate_escape_probability.threads": ("threads", 1,
                                             lambda v: estimate_escape_probability(
-                                                DISK, Y0, 0.5, (0.9, 0.0), 0.1, 3, 1,
+                                                DISK, Y0, 0.5, (0.9, 0.0), WalkConfig(0.1), 3, 1,
                                                 threads=v)),
     "irregularity_witness.n_walks": ("n_walks", 2, lambda v: irregularity_witness(
-        DISK, Y0, [0.1], [0.1], v, 1)),
+        DISK, Y0, [WalkConfig(0.1)], [0.1], v, 1)),
     "mean_value_residual.n_outer": ("n_outer", 2, lambda v: mean_value_residual(
         DISK, Coordinate(1), X0, CFG, v, 3, 1)),
     "mean_value_residual.n_inner": ("n_inner", 2, lambda v: mean_value_residual(

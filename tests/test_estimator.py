@@ -346,21 +346,25 @@ _PINNED = {
                        DISK, QUAD, (0.2, 0.1), WalkConfig(0.15), 16, 400, 3, threads=threads)),
     "witness": ("261a094e28b78bc6fdf987b5b8093bf952cc7d2fba8ddc6344f7080bd5b4f7f7", 8192,
                 lambda threads: analysis.irregularity_witness(
-                    DISK, (1.0, 0.0), [0.1, 0.05], [0.05, 0.01], 200, 3, threads=threads)),
+                    DISK, (1.0, 0.0), [WalkConfig(0.1), WalkConfig(0.05)], [0.05, 0.01], 200, 3,
+                    threads=threads)),
     # three probes of 30 walks, one start per walk, in chunk-aligned spans
     # that straddle probes
     "regularity": ("81c3760aedf7a4231dad38792813db7313307ee9add597f45ed0df2ad8febb0d", 40,
                    lambda threads: analysis.estimate_regularity(
-                       DISK, (1.0, 0.0), 0.5, 0.2, 0.2, 3, 30, 29, threads=threads)),
+                       DISK, (1.0, 0.0), 0.5, 0.2, WalkConfig(0.2), 3, 30, 29,
+                       threads=threads)),
     "escape": ("90cafa007b19792e313cbfe9d8725f17e0adf3dd17c6b332f7188a7aa24c31d0", 40,
                lambda threads: analysis.estimate_escape_probability(
-                   DISK, (1.0, 0.0), 0.3, (0.8, 0.1), 0.2, 150, 31, threads=threads)),
+                   DISK, (1.0, 0.0), 0.3, (0.8, 0.1), WalkConfig(0.2), 150, 31,
+                   threads=threads)),
     # walks next to the puncture, whose projection lands on the center itself;
     # pinned before PuncturedBall became the annulus of inner radius 0
     "puncture": ("fef9179962af9c612ded8dda6f1d6a238949eb842254ed933aaa78e0ae48149a", 40,
                  lambda threads: analysis.irregularity_witness(
-                     PuncturedBall((0.0, 0.0), 1.0), (0.0, 0.0), [0.1, 0.05], [0.05, 0.01],
-                     100, 3, threads=threads)),
+                     PuncturedBall((0.0, 0.0), 1.0), (0.0, 0.0),
+                     [WalkConfig(0.1), WalkConfig(0.05)], [0.05, 0.01], 100, 3,
+                     threads=threads)),
     # a field on the benchmark's box minus a ball, the last point in the hole
     "void_field": ("36effec5ac9d75d8c0e90782d4b06c8e58ee429e7c5d8830cb097d83161ca2c6", 40,
                    lambda threads: estimate_field(
@@ -411,12 +415,15 @@ def test_outputs_keep_their_pinned_digests_at_any_thread_count(name, monkeypatch
         assert _sha(run(threads)) == digest, threads
 
 
-def _spy_kernel(monkeypatch):
+def _spy_kernel(monkeypatch, configs=None):
     """Replace the estimator's kernel by one that records (stream indices,
-    start shape, thread) per call and returns every walk at its start."""
+    start shape, thread) per call and returns every walk at its start;
+    given a list ``configs``, it also appends each call's WalkConfig to it."""
     calls = []
 
     def kernel(domain, x0, config, master_seed, stream_indices, **kwargs):
+        if configs is not None:
+            configs.append(config)
         idx = np.asarray(stream_indices)
         starts = np.asarray(x0, dtype=np.float64)
         calls.append((idx.tolist(), starts.shape, threading.get_ident()))
@@ -426,6 +433,29 @@ def _spy_kernel(monkeypatch):
 
     monkeypatch.setattr(estimator, "run_walks", kernel)
     return calls
+
+
+@pytest.mark.parametrize("kind", ["ball", "sphere"])
+def test_diagnostics_pass_the_callers_walk_config_to_the_kernel(kind, monkeypatch):
+    # Each of these runs is one kernel call per config, and every call gets
+    # the very WalkConfig object the caller passed in, witness configs in order.
+    first = WalkConfig(0.2, kind=kind)
+    second = WalkConfig(0.1, stop_tolerance=1e-3, max_steps=500, kind=kind)
+    runs = {
+        "regularity": ([first], lambda: analysis.estimate_regularity(
+            DISK, (1.0, 0.0), 0.3, 0.02, first, 3, 20, 5)),
+        "escape": ([first], lambda: analysis.estimate_escape_probability(
+            DISK, (1.0, 0.0), 0.3, (0.9, 0.0), first, 20, 5)),
+        "witness": ([first, second], lambda: analysis.irregularity_witness(
+            DISK, (1.0, 0.0), [first, second], [0.05, 0.01], 20, 5)),
+        "mean_value": ([first], lambda: analysis.mean_value_residual(
+            DISK, QUAD, (0.2, 0.1), first, 4, 20, 5)),
+    }
+    for name, (want, run) in runs.items():
+        configs = []
+        _spy_kernel(monkeypatch, configs)
+        run()
+        assert list(map(id, configs)) == list(map(id, want)), name
 
 
 def test_field_void_grid_packs_its_points_into_four_kernel_calls(monkeypatch):

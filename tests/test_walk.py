@@ -1,5 +1,6 @@
 """Walk engine invariants: exits land on the boundary, batching never
 changes results, step sizes respect the distance cap."""
+import inspect
 import os
 import subprocess
 import sys
@@ -71,14 +72,24 @@ def test_config_validation():
         WalkConfig(0.0)
     with pytest.raises(ValueError):
         WalkConfig(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epsilon"):
         WalkConfig(1.5)
     with pytest.raises(ValueError):
         WalkConfig(0.1, stop_tolerance=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_steps"):
         WalkConfig(0.1, max_steps=0)
     with pytest.raises(ValueError):
         WalkConfig(0.1, kind="hop")
+
+
+def test_only_walk_config_takes_the_stop_tolerance_and_step_cap():
+    # Every public call that runs walks takes a WalkConfig, so no second
+    # copy of these parameters or their defaults can come back.
+    for name in ballwalk.__all__:
+        obj = getattr(ballwalk, name)
+        if name != "WalkConfig" and callable(obj):
+            params = inspect.signature(obj).parameters
+            assert not {"stop_tolerance", "max_steps"} & set(params), name
 
 
 def test_resolved_stop_default_scales_with_diameter():
