@@ -27,7 +27,7 @@ from .estimator import AUX_STREAM_BASE, _require_sane_truncation, estimate_field
 from .geometry import MAX_DIM, Domain, as_point, _count
 from .oracle import BoundaryData, DistanceTo, radial_profile
 from .stochastic import RngStream, sample_unit_ball
-from .walk import WalkConfig, _check_epsilon
+from .walk import WalkConfig, _check_config, _check_epsilon
 
 _Array = NDArray[np.float64]
 
@@ -136,6 +136,7 @@ def mean_value_residual(
     residual 0.0 with no rounding noise: every stage then computes the
     identical float.
     """
+    _check_config(config)
     x = _domain_point(domain, x)
     n_outer = _count(n_outer, "n_outer", 2)
     n_inner = _count(n_inner, "n_inner", 2)
@@ -280,6 +281,7 @@ def estimate_regularity(
     Membership uses the closed ball |exit - y0| <= delta, so delta at least
     diam(D) gives probability 1 without simulation.
     """
+    _check_config(config)
     y0 = _domain_point(domain, y0)
     delta = float(delta)
     delta_hat = float(delta_hat)
@@ -345,6 +347,7 @@ def estimate_escape_probability(
     stream k.  Under a shared seed the result is monotone nonincreasing in
     delta samplewise: the paths are identical and only the threshold moves.
     """
+    _check_config(config)
     y0 = _domain_point(domain, y0)
     x0 = _domain_point(domain, x0)
     delta = float(delta)
@@ -465,9 +468,9 @@ def irregularity_witness(
     carry its epsilon.  Row k runs walks on streams
     [k * n_walks, (k + 1) * n_walks).
     """
+    configs = [_check_config(config) for config in configs]
     y0 = _domain_point(domain, y0)
     n_walks = _count(n_walks, "n_walks", 2)
-    configs = list(configs)
     dist_list = [float(d) for d in np.atleast_1d(np.asarray(start_distances, dtype=np.float64))]
     if not configs or not dist_list:
         raise ValueError("need at least one walk config and one start distance")

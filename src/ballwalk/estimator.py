@@ -12,9 +12,10 @@ chunk-aligned span per thread, of ceil(chunks / threads) chunks but at most
 _SPAN_CHUNKS (and, in a field of several points, no less than a packed span),
 and the spans fan out over threads; fewer, longer calls pay the kernel's tail
 of near-empty iterations fewer times.  Smaller points are run whole, as many
-as fit in a packed span, one packed span after another.  This is the one
-module that fans walks out over threads; the diagnostics run their walks
-through exit_sample or estimate_field.
+as fit in a packed span, one packed span after another, as two at once would
+cost about 10% more peak memory.  This is the one module that fans walks out
+over threads; the diagnostics run their walks through exit_sample or
+estimate_field.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from numpy.typing import NDArray
 
 from .geometry import Domain, _count, _prep
 from .oracle import BoundaryData
-from .walk import WalkBatch, WalkConfig, run_walks
+from .walk import WalkBatch, WalkConfig, _check_config, run_walks
 
 _Array = NDArray[np.float64]
 
@@ -46,11 +47,10 @@ _CHUNK = 8192
 # its walk exits.
 _SPAN_CHUNKS = 8
 # Chunks per packed span: points of at most half of it run whole, as many to
-# a kernel call as fit, and packed spans run in order.  Packed calls copy a
-# start per walk (and hold final positions and stream indices per walk), so
-# they grow memory faster than a point's own span, which shares one start:
-# on the 56-point 3-D field of 1000 walks a point, fanning out 28-point spans
-# raised peak RSS from 40.1 to 46.5 MB and one serial 56-point call to 44 MB.
+# a kernel call as fit, and packed spans run in order.  A call gets each
+# point once, but two calls at once hold two kernels' step arrays: on the
+# 56-point 3-D field of 1000 walks a point, fanning the spans out over 2
+# threads raised peak RSS by about 10%, from 40.1-40.3 to 43.9-44.3 MB.
 _PACK_CHUNKS = 2
 
 # Refuse estimates where more than this fraction of walks hit the step cap:
@@ -184,6 +184,7 @@ def exit_sample(
     (n_walks, n); ``ring=(center, r)`` is passed to run_walks, which then
     stops each walk at distance r from center and leaves it unprojected.
     """
+    _check_config(config)
     n_walks = _count(n_walks, "n_walks")
     threads = _count(threads, "threads")
     stream_base = _check_streams(stream_base, n_walks)
@@ -218,6 +219,7 @@ def estimate_value(
 ) -> Estimate:
     """Estimate the solution at x0 as the mean of F over simulated exits:
     the one-point case of estimate_field."""
+    _check_config(config)
     n_walks = _count(n_walks, "n_walks", 2)
     x, one = _prep(x0, domain.dim)
     if not one:
@@ -243,6 +245,7 @@ def estimate_field(
     stream_base + [j * n_walks, (j + 1) * n_walks), so adding or skipping
     points never shifts another point's randomness.  The first point that
     earns the truncation refusal raises it."""
+    _check_config(config)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("points must be a (m, n) array")
@@ -260,8 +263,7 @@ def estimate_field(
         # rows[sel], from one kernel call; lo is a chunk boundary.
         x, w = pts[rows[sel]], hi - lo
         idx = (stream_base + n_walks * rows[sel, None] + np.arange(lo, hi)).ravel()
-        batch = run_walks(domain, x[0] if len(x) == 1 else np.repeat(x, w, axis=0),
-                          config, master_seed, idx.astype(np.uint64))
+        batch = run_walks(domain, x, config, master_seed, idx.astype(np.uint64))
         parts = []
         for e, t in zip(batch.exit_points.reshape(len(x), w, -1),
                         batch.truncated.reshape(len(x), w)):

@@ -11,7 +11,7 @@ start, the escape estimator rings a boundary point); it then reports every
 walk's final position unprojected.
 
 The batch runner advances many walks in lockstep with vectorized numpy ops,
-from one shared start or from one start per walk.  Each walk consumes draws
+from P starts, each shared by m / P consecutive walks.  A walk consumes draws
 addressed by (master_seed, stream_index, step), its steps counted from its
 own start: at most _LANES walks are live, and while walks are pending, a
 lane whose walk exits takes the next walk in place.  While only a few walks
@@ -123,6 +123,13 @@ class WalkConfig:
         return tol
 
 
+def _check_config(config) -> WalkConfig:
+    """``config`` itself, refused unless it is a WalkConfig."""
+    if not isinstance(config, WalkConfig):
+        raise TypeError(f"config must be a WalkConfig, got {config!r}")
+    return config
+
+
 @dataclass(frozen=True)
 class WalkBatch:
     """Columnar outcomes of a batch of walks (one row per stream index)."""
@@ -213,23 +220,25 @@ def run_walks(
 ) -> WalkBatch:
     """Advance one walk per stream index until exit or cap; see WalkBatch.
 
-    ``x0`` is one start (n,) shared by every walk, or one start per walk
-    (m, n) in stream-index order.  With ``ring=(center, r)`` a walk also
-    stops at the top of the first iteration in which its position lies at
-    distance at least r from the one point ``center`` (so a walk that starts
-    there takes no step), and every walk's final position is returned
-    unprojected in exit_points.  trace_walk gives one walk's whole path.
+    ``x0`` is one start (n,), or P starts (P, n) for a divisor P of the walk
+    count m: walk i, in stream-index order, starts at row i // (m // P).  With
+    ``ring=(center, r)`` a walk also stops at the top of the first iteration
+    in which its position lies at distance at least r from the one point
+    ``center`` (so a walk that starts there takes no step), and every walk's
+    final position is returned unprojected.  trace_walk gives one walk's path.
 
     At most _LANES walks are live at once.  While walks are pending, a lane
     whose walk exits takes the next walk, in stream-index order; its step s
     is iteration (admission + s), so no outcome depends on when it joined.
     """
+    _check_config(config)
     idx = _as_u64(stream_indices, "stream index")
     m = idx.shape[0]
     n = domain.dim
-    starts, shared = _prep(x0, n)
-    if not shared and starts.shape[0] != m:
-        raise ValueError(f"got {starts.shape[0]} start points for {m} walks")
+    starts = _prep(x0, n)[0]
+    if not len(starts) or m % len(starts):
+        raise ValueError(f"got {len(starts)} start points for {m} walks")
+    group = m // len(starts)     # walks per start
     if not np.all(domain.contains(starts)):
         raise ValueError("walks must start inside the open domain")
     tol = config.resolved_stop(domain)
@@ -246,7 +255,7 @@ def run_walks(
     # written to the outputs only when walks leave the batch.  Rows are
     # gathered with compress and take: boolean and fancy row indexing of an
     # (m, n) array is several times slower and copies the same values.
-    cur = np.broadcast_to(starts, (m, n))[:lanes].copy()
+    cur = starts.take(np.arange(lanes) // group, axis=0)
     if ring is not None:
         center, ring_radius = _ring(ring, n)
     final = np.empty((m, n))
@@ -319,7 +328,7 @@ def run_walks(
             pending += refill.size
             alive[refill] = walks
             steps[walks] = t
-            cur[refill] = starts[0] if shared else starts.take(walks, axis=0)
+            cur[refill] = starts.take(walks // group, axis=0)
             draws.admit(refill, walks, t)
 
     # Exits are projected after the loop, one call per _LANES rows, in place;
@@ -350,6 +359,7 @@ def trace_walk(
     last one or, with ``ring``, the last one itself.  run_walks gives this
     walk the same path in any batch, so this is its reference.
     """
+    _check_config(config)
     n = domain.dim
     x, one = _prep(x0, n)
     if not one:

@@ -417,8 +417,9 @@ def test_outputs_keep_their_pinned_digests_at_any_thread_count(name, monkeypatch
 
 def _spy_kernel(monkeypatch, configs=None):
     """Replace the estimator's kernel by one that records (stream indices,
-    start shape, thread) per call and returns every walk at its start;
-    given a list ``configs``, it also appends each call's WalkConfig to it."""
+    start shape, thread) per call and returns every walk at its start, P
+    starts (P, n) giving P equal groups of walks; given a list ``configs``,
+    it also appends each call's WalkConfig to it."""
     calls = []
 
     def kernel(domain, x0, config, master_seed, stream_indices, **kwargs):
@@ -427,7 +428,8 @@ def _spy_kernel(monkeypatch, configs=None):
         idx = np.asarray(stream_indices)
         starts = np.asarray(x0, dtype=np.float64)
         calls.append((idx.tolist(), starts.shape, threading.get_ident()))
-        exits = np.broadcast_to(starts, (idx.size, domain.dim)).copy()
+        starts = starts.reshape(-1, domain.dim)
+        exits = np.repeat(starts, idx.size // len(starts), axis=0)
         return walk.WalkBatch(exits, np.ones(idx.size, dtype=np.int64),
                               np.zeros(idx.size, dtype=bool))
 
@@ -458,6 +460,35 @@ def test_diagnostics_pass_the_callers_walk_config_to_the_kernel(kind, monkeypatc
         assert list(map(id, configs)) == list(map(id, want)), name
 
 
+# Every public call that takes a walk config, each given a float where a
+# WalkConfig belongs (the witness in the second entry of its list).  The
+# escape call is one the closed-form shortcut would answer with (1.0, 0.0),
+# and the field's only point is exterior, so it would walk nowhere.
+_NOT_A_CONFIG = {
+    "run_walks": lambda: run_walks(DISK, (0.0, 0.0), 0.1, 0, range(4)),
+    "trace_walk": lambda: walk.trace_walk(DISK, (0.0, 0.0), 0.1, 0, 0),
+    "exit_sample": lambda: exit_sample(DISK, (0.0, 0.0), 0.1, 0, 10),
+    "estimate_value": lambda: estimate_value(DISK, Coordinate(1), (0.0, 0.0), 0.1, 0, 10),
+    "estimate_field": lambda: estimate_field(DISK, Coordinate(1), [(2.0, 0.0)], 0.1, 0, 10),
+    "mean_value_residual": lambda: analysis.mean_value_residual(
+        DISK, QUAD, (0.2, 0.1), 0.1, 4, 20, 5),
+    "estimate_regularity": lambda: analysis.estimate_regularity(
+        DISK, (1.0, 0.0), 0.3, 0.02, 0.1, 3, 20, 5),
+    "estimate_escape_probability": lambda: analysis.estimate_escape_probability(
+        Ball((0, 0), 1), (1, 0), 0.05, (0.9, 0), 0.1, 10, 1),
+    "irregularity_witness": lambda: analysis.irregularity_witness(
+        DISK, (1.0, 0.0), [WalkConfig(0.05), 0.1], [0.05, 0.01], 20, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_NOT_A_CONFIG))
+def test_walking_calls_refuse_a_config_that_is_not_a_walk_config(name, monkeypatch):
+    calls = _spy_kernel(monkeypatch)
+    with pytest.raises(TypeError, match="config must be a WalkConfig, got 0.1"):
+        _NOT_A_CONFIG[name]()
+    assert calls == []
+
+
 def test_field_void_grid_packs_its_points_into_four_kernel_calls(monkeypatch):
     domain = ballwalk.parse_domain("diff(box(0,0,0;1,1,1), ball(0.5,0.5,0.5;0.3))")
     pts = cli._grid_points(domain, (4, 4, 4))
@@ -465,9 +496,9 @@ def test_field_void_grid_packs_its_points_into_four_kernel_calls(monkeypatch):
     assert inside.size == 56
     calls = _spy_kernel(monkeypatch)
     field = estimate_field(domain, Coordinate(1), pts, WalkConfig(0.1), 5, 1000, threads=2)
-    # 16 384 // 1000 = 16 points a span, each walk from its own point's start
+    # 16 384 // 1000 = 16 points a span, each point's walks from its start
     # and on its own point's streams
-    assert [shape for _, shape, _ in calls] == [(16000, 3)] * 3 + [(8000, 3)]
+    assert [shape for _, shape, _ in calls] == [(16, 3)] * 3 + [(8, 3)]
     assert [idx for idx, _, _ in calls] == [
         [s for j in inside[k:k + 16] for s in range(j * 1000, (j + 1) * 1000)]
         for k in (0, 16, 32, 48)]
@@ -487,7 +518,7 @@ def test_one_large_point_runs_one_span_per_thread(monkeypatch):
                              threads=threads)
         bounds = np.cumsum([0] + sizes).tolist()
         assert sorted(call[:2] for call in calls) == [
-            (list(range(3 + lo, 3 + hi)), (2,)) for lo, hi in zip(bounds, bounds[1:])]
+            (list(range(3 + lo, 3 + hi)), (1, 2)) for lo, hi in zip(bounds, bounds[1:])]
         assert (est.n, est.mean, est.stderr) == (65536, 0.25, 0.0)
         # one span runs on the calling thread, several on pool threads
         on_main = {thread == main for _, _, thread in calls}
@@ -535,12 +566,13 @@ def test_spans_tile_the_walks_in_chunk_aligned_spans(n, threads, least, chunk):
 
 def test_points_above_half_a_span_fan_out_as_before(monkeypatch):
     # Each interior point runs its own spans [0, 16384) and [16384, 20000)
-    # from its shared start, as when every point was its own estimate_value.
+    # from its one start, as when every point was its own estimate_value.
     calls = _spy_kernel(monkeypatch)
     pts = [(0.1, 0.0), (2.0, 0.0), (-0.3, 0.2)]
     estimate_field(DISK, Coordinate(1), pts, CFG, 5, 20_000, threads=2)
     spans = [(0, 16384), (16384, 20000), (40000, 56384), (56384, 60000)]
-    assert sorted(call[:2] for call in calls) == [(list(range(lo, hi)), (2,)) for lo, hi in spans]
+    assert sorted(call[:2] for call in calls) == [(list(range(lo, hi)), (1, 2))
+                                                  for lo, hi in spans]
     # the spans run on pool threads
     assert threading.get_ident() not in {thread for _, _, thread in calls}
 

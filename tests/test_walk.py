@@ -265,6 +265,24 @@ def _starts_inside(domain, m, seed):
     return starts[:m]
 
 
+# Start layouts of a batch: one start shared by every walk, equal groups of
+# g walks from 1 < P < m starts, or one start per walk.
+_LAYOUTS = ["shared", 2, 3, 5, "per_walk"]
+
+
+def _laid_out(domain, m, seed, layout):
+    """(m, x0, one start per walk) for a batch of m walks, m rounded up to a
+    multiple of the group size g with at least two groups."""
+    if layout not in ("shared", "per_walk"):
+        m = layout * max(2, -(-m // layout))
+    starts = _starts_inside(domain, m, seed)
+    if layout == "shared":
+        return m, starts[0], np.broadcast_to(starts[0], starts.shape)
+    if layout == "per_walk":
+        return m, starts, starts
+    return m, starts[:m // layout], np.repeat(starts[:m // layout], layout, axis=0)
+
+
 def _every_shape(test):
     """Run ``test`` on every shape in 2-D and 3-D, once with a cap that
     truncates some walks, besides the examples hypothesis draws."""
@@ -340,6 +358,19 @@ def test_per_walk_starts_are_checked():
         run_walks(DISK, np.zeros((3, 2)), WalkConfig(0.2), 0, range(4))
     with pytest.raises(ValueError):
         run_walks(DISK, [[0.0, 0.0], [1.5, 0.0]], WalkConfig(0.2), 0, range(2))
+    # P starts for P equal groups: 2 starts for 4 walks give walks 0-1 the
+    # first start and walks 2-3 the second
+    grouped = run_walks(DISK, [[0.0, 0.0], [0.5, 0.0]], WalkConfig(0.2), 0, range(4))
+    per_walk = run_walks(DISK, [[0.0, 0.0]] * 2 + [[0.5, 0.0]] * 2, WalkConfig(0.2), 0, range(4))
+    assert np.array_equal(grouped.exit_points, per_walk.exit_points)
+    assert np.array_equal(grouped.steps, per_walk.steps)
+    # a count that does not divide the walks is refused as before
+    for count, walks in [(4, 6), (0, 6)]:
+        with pytest.raises(ValueError, match=f"got {count} start points for {walks} walks"):
+            run_walks(DISK, np.zeros((count, 2)), WalkConfig(0.2), 0, range(walks))
+    # every group's start is checked
+    with pytest.raises(ValueError, match="walks must start inside the open domain"):
+        run_walks(DISK, [[0.0, 0.0], [1.5, 0.0]], WalkConfig(0.2), 0, range(6))
 
 
 @pytest.mark.parametrize("case", ["exits", "stopped_at_start", "capped", "ringed"])
@@ -388,32 +419,34 @@ def test_exits_are_projected_in_one_call(monkeypatch, case):
 
 @given(st.sampled_from(sorted(SHAPES)), st.sampled_from([BALL, SPHERE]), st.integers(1, 30),
        st.integers(0, 2**40), st.integers(1, 9), st.sampled_from([1, 2, 5, 16, 64]),
-       st.booleans(), st.booleans(),
+       st.sampled_from(_LAYOUTS), st.booleans(),
        st.one_of(st.just(10_000_000), st.integers(1, 40)),
        st.one_of(st.none(), st.floats(0.05, 0.8)))
-@example(("ball", 2), BALL, 30, 3, 4, 16, False, True, 9, None)
-@example(("difference", 3), SPHERE, 25, 4, 3, 5, True, True, 10_000_000, None)
-@example(("box", 2), BALL, 30, 5, 4, 16, True, False, 10_000_000, 0.3)
-@example(("annulus", 3), SPHERE, 25, 6, 3, 5, False, True, 12, 0.5)
+@example(("ball", 2), BALL, 30, 3, 4, 16, "per_walk", True, 9, None)
+@example(("difference", 3), SPHERE, 25, 4, 3, 5, "shared", True, 10_000_000, None)
+@example(("box", 2), BALL, 30, 5, 4, 16, "shared", False, 10_000_000, 0.3)
+@example(("annulus", 3), SPHERE, 25, 6, 3, 5, "per_walk", True, 12, 0.5)
+# groups of 3 in 5 lanes: group 1 is walks 3-5, and walk 5 waits for a refill
+@example(("difference", 3), BALL, 12, 8, 5, 16, 3, True, 10_000_000, None)
+@example(("box", 2), SPHERE, 20, 9, 3, 5, 5, False, 15, 0.4)
 @settings(max_examples=40, deadline=None)
 def test_lane_refill_matches_walks_run_alone(key, kind, m, seed, lanes, prefetch,
-                                             shared, centered, cap, stop_radius):
+                                             layout, centered, cap, stop_radius):
     # With fewer lanes than walks, lanes are refilled as walks exit, while
     # block prefetch fills and drops blocks in between; a ring stop may end
-    # walks before the boundary does.
+    # walks before the boundary does.  A refilled lane takes its walk's
+    # group start.
     domain = SHAPES[key]
     cfg = WalkConfig(0.2, kind=kind, max_steps=cap)
+    m, x0, starts = _laid_out(domain, m, seed, layout)
     idx = np.arange(m) * 5 + seed % 997
-    starts = _starts_inside(domain, m, seed)
-    x0 = starts[0] if shared else starts
     center = np.mean(domain.bounding_box(), axis=0) if centered else starts[0]
     ring = None if stop_radius is None else (center, stop_radius)
     with mock.patch.object(walk, "_LANES", lanes), \
             mock.patch.object(walk, "_PREFETCH_ROWS", prefetch):
         batch = run_walks(domain, x0, cfg, seed, idx, ring=ring)
     for row in range(m):
-        alone = run_walks(domain, x0 if shared else starts[row:row + 1], cfg, seed,
-                          [idx[row]], ring=ring)
+        alone = run_walks(domain, starts[row], cfg, seed, [idx[row]], ring=ring)
         assert np.array_equal(batch.exit_points[row], alone.exit_points[0])
         assert batch.steps[row] == alone.steps[0]
         assert batch.truncated[row] == alone.truncated[0]
@@ -444,34 +477,35 @@ def test_late_walk_is_truncated_at_its_own_cap(monkeypatch):
 
 
 @given(st.sampled_from(sorted(SHAPES)), st.sampled_from([BALL, SPHERE]), st.integers(1, 5),
-       st.integers(0, 2**40), st.integers(1, 9), st.integers(1, 64), st.booleans(),
+       st.integers(0, 2**40), st.integers(1, 9), st.integers(1, 64), st.sampled_from(_LAYOUTS),
        st.one_of(st.just(10_000_000), st.integers(1, 300)),
        st.one_of(st.none(), st.floats(0.05, 0.8)))
-@example(("ball", 2), BALL, 1, 1, 1, 64, True, 10_000_000, None)
-@example(("ball", 3), SPHERE, 2, 2, 2, 64, True, 10_000_000, 0.6)
-@example(("box", 3), BALL, 2, 3, 2, 40, False, 23, None)
-@example(("annulus", 3), BALL, 3, 0, 2, 64, False, 30, None)   # a refilled lane's cap
-@example(("annulus", 2), SPHERE, 2, 4, 1, 64, False, 10_000_000, None)
-@example(("punctured_ball", 3), BALL, 2, 5, 3, 64, True, 10_000_000, None)
-@example(("difference", 2), BALL, 3, 6, 2, 50, False, 150, 0.3)
-@example(("halfspaces", 2), SPHERE, 2, 7, 2, 64, True, 10_000_000, None)
+@example(("ball", 2), BALL, 1, 1, 1, 64, "shared", 10_000_000, None)
+@example(("ball", 3), SPHERE, 2, 2, 2, 64, "shared", 10_000_000, 0.6)
+@example(("box", 3), BALL, 2, 3, 2, 40, "per_walk", 23, None)
+@example(("annulus", 3), BALL, 3, 0, 2, 64, "per_walk", 30, None)   # a refilled lane's cap
+@example(("annulus", 2), SPHERE, 2, 4, 1, 64, "per_walk", 10_000_000, None)
+@example(("punctured_ball", 3), BALL, 2, 5, 3, 64, "shared", 10_000_000, None)
+@example(("difference", 2), BALL, 3, 6, 2, 50, "per_walk", 150, 0.3)
+@example(("halfspaces", 2), SPHERE, 2, 7, 2, 64, "shared", 10_000_000, None)
+# groups of 2 in 3 lanes: walk 3 joins its group's start by a refill
+@example(("box", 3), SPHERE, 4, 8, 3, 64, 2, 40, None)
+@example(("difference", 3), BALL, 5, 9, 2, 20, 3, 10_000_000, 0.5)
 @settings(max_examples=25, deadline=None)
 def test_run_walks_matches_the_scalar_reference(key, kind, m, seed, lanes, prefetch,
-                                                 shared, cap, stop_radius):
+                                                 layout, cap, stop_radius):
     # At eps 0.02 walks deep inside leap many steps per iteration, so caps
     # and ring stops fall inside would-be leaps; lanes and blocks vary too.
     # trace_walk shares no lane, block or leap code with the kernel.
     domain = SHAPES[key]
     cfg = WalkConfig(0.02, kind=kind, max_steps=cap)
+    m, x0, starts = _laid_out(domain, m, seed, layout)
     idx = np.arange(m) * 3 + seed % 991
-    starts = _starts_inside(domain, m, seed)
-    if shared:
-        starts[:] = starts[0]
     ring = None if stop_radius is None else (np.mean(domain.bounding_box(), axis=0),
                                              stop_radius)
     with mock.patch.object(walk, "_LANES", lanes), \
             mock.patch.object(walk, "_PREFETCH_ROWS", prefetch):
-        batch = run_walks(domain, starts[0] if shared else starts, cfg, seed, idx, ring=ring)
+        batch = run_walks(domain, x0, cfg, seed, idx, ring=ring)
     for row in range(m):
         _, exit_point, steps, truncated = trace_walk(domain, starts[row], cfg, seed,
                                                      int(idx[row]), ring=ring)
