@@ -468,6 +468,10 @@ def irregularity_witness(
     carry its epsilon.  Row k runs walks on streams
     [k * n_walks, (k + 1) * n_walks).
     """
+    try:
+        configs = list(configs)
+    except TypeError:
+        raise TypeError(f"configs must be a list of WalkConfig, got {configs!r}") from None
     configs = [_check_config(config) for config in configs]
     y0 = _domain_point(domain, y0)
     n_walks = _count(n_walks, "n_walks", 2)

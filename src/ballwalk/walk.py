@@ -24,25 +24,25 @@ count and block size, for every shape: running a walk alone, in a chunk, or
 under any thread count is bitwise identical on one machine and numpy build
 and at every CPU dispatch level of that build.
 
-Safe leaps.  Every shape's signed distance is 1-Lipschitz (a max of exact
-distances, of unit-normal plane margins, or the box distance), and so is
-|x - c|.  A walk at distance d from the boundary therefore takes its next
-k steps at radius exactly epsilon, and none of them can stop it, while
-d >= (k + 1) * epsilon for ball walks and (k + 2) * epsilon for sphere
-walks; the extra epsilon absorbs rounding, which is of the order of one ulp
-of the coordinates per step.  A ring stop bounds k the same way, by
-r - |x - c|.  Once no walk is pending, an iteration in which every
-live walk has that room for k >= 2 steps, and none reaches its cap within
-them, advances every lane k steps (or to the end of its prefetch block) at
-once: np.add.accumulate over [x, epsilon * w_t, ..., epsilon * w_{t+k-1}]
-along the step axis performs exactly the additions of k single steps
-x += min(epsilon, dist) * w, so a leap changes no bit.  A walk's room
-grows by at most epsilon per step, so a test that finds room for fewer than
-2 steps is not repeated before it could find 2; skipping a test only forgoes
-a leap.
+Speculative steps.  A step from x has radius exactly epsilon wherever
+dist(x) >= reach, the reach being epsilon for ball walks and 2 * epsilon for
+sphere walks (min(epsilon, d) == epsilon, and min(epsilon, d / 2) ==
+epsilon, exactly then); such a step cannot stop the walk, since the stop
+tolerance is below epsilon.  Once no walk is pending and the batch is
+narrower than _PREFETCH_ROWS, every lane takes its ordinary step, and each
+lane at distance at least 3 * reach then takes depth = _PREFETCH_ROWS // live
+- 1 more steps of radius epsilon at once: np.add.accumulate over
+[x, epsilon * w_{t+1}, ..., epsilon * w_{t+depth}] along the step axis
+performs exactly the additions of single steps, and one _sd call gives the
+distance of every point reached.  The lane keeps the longest prefix of these
+steps whose starting points all lie at distance at least reach (with a ring
+stop, also inside the ring) and that stays within its step cap.  Each
+shape's _sd is row-independent, so the kept prefix is the walk's own path
+and speculation changes no bit; steps past the prefix are discarded.
 
 trace_walk runs one walk step by step with the public samplers, without
-lanes, blocks or leaps: it is the reference that run_walks is tested against.
+lanes, blocks or speculative steps: it is the reference that run_walks is
+tested against.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ STOP_TOLERANCE_FACTOR = 1e-4
 
 # While fewer walks than _PREFETCH_ROWS are live, each sampler call draws
 # about _PREFETCH_ROWS samples: _PREFETCH_ROWS // live steps ahead for every
-# live walk.
+# live walk, or one step for every walk and _PREFETCH_ROWS // live - 1
+# speculative steps for each far one, so at most _PREFETCH_ROWS rows.
 _PREFETCH_ROWS = 1024
 # At most this many walks of a run_walks call are live at once; while walks
 # are pending, a lane whose walk exits takes the next one.
@@ -144,14 +145,16 @@ class _StepDraws:
 
     Step s of a walk reads the sample whose first draw is s * per on the
     walk's stream, whatever the batch.  A lane stores the offset -a * per
-    (mod 2**64) for a walk admitted at iteration a, so iteration t reads
-    lane offset + t * per for every lane alike.  While the live batch is
+    (mod 2**64) for a walk whose step 0 is iteration a, so iteration t reads
+    lane offset + t * per for every lane alike; a walk that takes k
+    speculative steps has its a moved back by k.  While the live batch is
     narrower than _PREFETCH_ROWS, one sampler call fills a block of several
-    iterations for every lane, handed out one iteration at a time or, for a
-    leap, several; rows of walks that leave are dropped from the block, and
-    admitting a walk drops the whole block.  Block depth therefore changes
-    how many calls are made, never a sample, and a block may reach past a
-    walk's step cap: those rows are drawn but never read.
+    iterations for every lane, handed out one iteration at a time; rows of
+    walks that leave are dropped from the block, and admitting a walk drops
+    the whole block.  Block depth therefore changes how many calls are made,
+    never a sample, and a block may reach past a walk's step cap: those rows
+    are drawn but never read.  An iteration with speculative steps draws its
+    own rows, at the same addresses, and drops the block too.
     """
 
     def __init__(self, n_dim: int, sphere: bool, master_seed: int, stream_indices,
@@ -178,9 +181,8 @@ class _StepDraws:
         self._offsets[lanes] = (-t * int(self._per)) % 2**64
         self._block = None
 
-    def take(self, t: int, k: int = 1) -> _Array:
-        """The samples of iterations t .. t + k' - 1 for the lanes, shape
-        (live, k', n), where k' is k or, if the block ends first, less."""
+    def take(self, t: int) -> _Array:
+        """The samples of iteration t for the lanes, shape (live, n)."""
         block = self._block
         if block is None:
             live = self._bases.shape[0]
@@ -191,11 +193,27 @@ class _StepDraws:
             block = w.reshape(live, depth, self._n_dim)
             self._block_t = t
         j = t - self._block_t
-        end = min(j + k, block.shape[1])
         # Iterations are taken in order, so a block is released once its last
         # step is read and drop() never gathers rows that will not be read.
-        self._block = block if end < block.shape[1] else None
-        return block[:, j:end]
+        self._block = block if j + 1 < block.shape[1] else None
+        return block[:, j]
+
+    def speculate(self, t: int, far: NDArray[np.intp], depth: int) -> tuple[_Array, _Array]:
+        """The samples of iteration t for the lanes, shape (live, n), and of
+        iterations t + 1 .. t + depth for the lanes ``far``, shape
+        (far, depth, n), from one sampler call."""
+        live = self._bases.shape[0]
+        ahead = self._offsets[far, None] + np.arange(t + 1, t + depth + 1,
+                                                     dtype=np.uint64) * self._per
+        first = np.concatenate([self._offsets + np.uint64(t) * self._per, ahead.ravel()])
+        bases = np.concatenate([self._bases, np.repeat(self._bases[far], depth)])
+        w = self._sampler(bases, first, self._n_dim)
+        self._block = None
+        return w[:live], w[live:].reshape(far.size, depth, self._n_dim)
+
+    def skip(self, lanes: NDArray[np.intp], k: NDArray[np.intp]) -> None:
+        """Move ``lanes`` k[i] steps further along their walks."""
+        self._offsets[lanes] += k.astype(np.uint64) * self._per
 
 
 def _ring(ring: tuple, n: int) -> tuple[_Array, float]:
@@ -245,9 +263,8 @@ def run_walks(
     eps = config.epsilon
     max_steps = config.max_steps
     sphere = config.kind == SPHERE
-    # Steps of room a leap keeps in hand: one for rounding, and one more for
-    # a sphere walk, whose radius is min(eps, dist / 2).
-    margin = 2 if sphere else 1
+    # A step has radius exactly eps from any point at distance >= reach.
+    reach = 2.0 * eps if sphere else eps
     lanes = min(_LANES, m)
     draws = _StepDraws(n, sphere, master_seed, idx, lanes)
 
@@ -259,14 +276,14 @@ def run_walks(
     if ring is not None:
         center, ring_radius = _ring(ring, n)
     final = np.empty((m, n))
-    # A live walk's entry holds the iteration of its step 0; it becomes the
-    # walk's step count when the walk leaves.
+    # A live walk's entry holds the iteration of its step 0, less its
+    # speculative steps; it becomes the walk's step count when the walk leaves.
     steps = np.zeros(m, dtype=np.int64)
     truncated = np.zeros(m, dtype=bool)
 
     alive = np.arange(lanes)    # the walk in each lane
     pending = lanes             # the next walk to admit
-    skip = 0                    # iterations before the next leap test
+    ahead = 0                   # bounds the speculative steps of any walk
     t = 0
     while alive.size:
         dist = -domain._sd(cur)
@@ -274,7 +291,7 @@ def run_walks(
         done = dist < tol
         if ring is not None:
             done |= np.linalg.norm(cur - center, axis=1) >= ring_radius
-        if t >= max_steps:
+        if t + ahead >= max_steps:
             capped = ~done & (t - steps[alive] >= max_steps)
             truncated[alive[capped]] = True
             done |= capped
@@ -299,30 +316,38 @@ def run_walks(
                 dist = dist[keep]
                 draws.drop(keep)
         radius = np.minimum(eps, 0.5 * dist) if sphere else np.minimum(eps, dist)
-        k = 1
-        if pending == m:
-            if skip:
-                skip -= 1
-            else:
-                room = dist.min()
-                if ring is not None:
-                    room = min(room, ring_radius - np.linalg.norm(cur - center, axis=1).max())
-                k = int(room // eps) - margin
-                if k < 2:
-                    skip, k = 1 - k, 1
-                else:
-                    k = min(k, int(steps[alive].min()) + max_steps - t)
-        w = draws.take(t, k)
-        if w.shape[1] == 1:
-            cur += radius[:, None] * w[:, 0]
+        depth = _PREFETCH_ROWS // alive.size - 1
+        if pending < m or depth < 1 or dist.max() < 3.0 * reach:
+            # w holds the block until the next draw: released at once, its
+            # pages went back to the system and were faulted in again, which
+            # doubled the minor faults of a field_void call and cost it 3-4%.
+            w = draws.take(t)
+            cur += radius[:, None] * w
         else:
-            # A leap: radius is eps on every lane for all of its steps.
-            path = np.empty((alive.size, w.shape[1] + 1, n))
-            path[:, 0] = cur
-            np.multiply(eps, w, out=path[:, 1:])
+            far = np.flatnonzero(dist >= 3.0 * reach)
+            w, ws = draws.speculate(t, far, depth)
+            cur += radius[:, None] * w
+            # Row j of a far lane's path is its position after j speculative
+            # steps, so rows 0 .. depth - 1 are where those steps start.
+            path = np.empty((far.size, depth + 1, n))
+            path[:, 0] = cur[far]
+            np.multiply(eps, ws, out=path[:, 1:])
             np.add.accumulate(path, axis=1, out=path)
-            cur = path[:, -1].copy()
-        t += w.shape[1]
+            pts = path[:, :-1].reshape(-1, n)
+            ok = np.zeros((far.size, depth + 1), dtype=bool)
+            ok[:, :-1] = (-domain._sd(pts) >= reach).reshape(far.size, depth)
+            if ring is not None:
+                ok[:, :-1] &= (np.linalg.norm(pts - center, axis=1)
+                               < ring_radius).reshape(far.size, depth)
+            kept = ok.argmin(axis=1)     # the first step that may not be taken
+            far_walks = alive[far]
+            if t + ahead + depth >= max_steps:
+                np.minimum(kept, max_steps - 1 - t + steps[far_walks], out=kept)
+            cur[far] = path[np.arange(far.size), kept]
+            steps[far_walks] -= kept
+            draws.skip(far, kept)
+            ahead += int(kept.max())
+        t += 1
         if refill is not None:
             walks = np.arange(pending, pending + refill.size)
             pending += refill.size
@@ -335,8 +360,8 @@ def run_walks(
     # _project works row by row, so how many walks share a call never changes
     # an exit.
     if ring is None:
-        for lo in range(0, m, lanes):
-            final[lo:lo + lanes] = domain._project(final[lo:lo + lanes])
+        for lo in range(0, m, _LANES):
+            final[lo:lo + _LANES] = domain._project(final[lo:lo + _LANES])
     return WalkBatch(final, steps, truncated)
 
 

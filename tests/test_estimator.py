@@ -478,13 +478,24 @@ _NOT_A_CONFIG = {
         Ball((0, 0), 1), (1, 0), 0.05, (0.9, 0), 0.1, 10, 1),
     "irregularity_witness": lambda: analysis.irregularity_witness(
         DISK, (1.0, 0.0), [WalkConfig(0.05), 0.1], [0.05, 0.01], 20, 5),
+    "irregularity_witness_bare_float": lambda: analysis.irregularity_witness(
+        DISK, (1.0, 0.0), 0.1, [0.05], 20, 5),
+    "irregularity_witness_bare_config": lambda: analysis.irregularity_witness(
+        DISK, (1.0, 0.0), WalkConfig(0.1), [0.05], 20, 5),
+}
+# The witness takes a list of configs, and says so when given one bare.
+_REFUSAL = {
+    "irregularity_witness_bare_float": "configs must be a list of WalkConfig, got 0.1",
+    "irregularity_witness_bare_config":
+        "configs must be a list of WalkConfig, got WalkConfig(epsilon=0.1,",
 }
 
 
 @pytest.mark.parametrize("name", list(_NOT_A_CONFIG))
 def test_walking_calls_refuse_a_config_that_is_not_a_walk_config(name, monkeypatch):
     calls = _spy_kernel(monkeypatch)
-    with pytest.raises(TypeError, match="config must be a WalkConfig, got 0.1"):
+    message = _REFUSAL.get(name, "config must be a WalkConfig, got 0.1")
+    with pytest.raises(TypeError, match=re.escape(message)):
         _NOT_A_CONFIG[name]()
     assert calls == []
 

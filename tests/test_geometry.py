@@ -184,8 +184,9 @@ def test_ball_projection_property(x, y):
     assert not b.contains(q)
 
 
-# Every shape's signed distance is 1-Lipschitz; run_walks leaps several steps
-# at once on that bound.  The 3-D shapes have faces at irrational angles.
+# Every shape's signed distance is 1-Lipschitz, so a walk far from the
+# boundary keeps most of its speculative steps.  The 3-D shapes have faces at
+# irrational angles.
 LIPSCHITZ_SHAPES = UNIT_SHAPES + [
     Annulus((0.1, 0.0, 0.0), 0.4, 1.0),
     PuncturedBall((0.0, 0.1, 0.0), 1.0),

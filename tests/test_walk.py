@@ -272,7 +272,14 @@ _LAYOUTS = ["shared", 2, 3, 5, "per_walk"]
 
 def _laid_out(domain, m, seed, layout):
     """(m, x0, one start per walk) for a batch of m walks, m rounded up to a
-    multiple of the group size g with at least two groups."""
+    multiple of the group size g with at least two groups.  The layout
+    "center_and_rim", for unit balls, splits the walks between the center
+    and a start at distance 0.01 from the boundary."""
+    if layout == "center_and_rim":
+        x0 = np.zeros((2, domain.dim))
+        x0[1, 0] = 0.99
+        m += m % 2
+        return m, x0, np.repeat(x0, m // 2, axis=0)
     if layout not in ("shared", "per_walk"):
         m = layout * max(2, -(-m // layout))
     starts = _starts_inside(domain, m, seed)
@@ -351,6 +358,14 @@ def test_step_t_reads_the_sample_at_offset_plus_t_draws(kind):
             radius = min(cfg.epsilon, 0.5 * dist if kind == SPHERE else dist)
             w = sample(RngStream(6, idx[k], t * per), 2)
             assert np.array_equal(tr[t + 1], tr[t] + radius * w)
+
+
+@pytest.mark.parametrize("ring", [None, ((0.0, 0.0), 0.5)])
+def test_no_stream_indices_give_an_empty_batch(ring):
+    batch = run_walks(DISK, (0.0, 0.0), WalkConfig(0.1), 0, [], ring=ring)
+    assert batch.exit_points.shape == (0, 2)
+    assert batch.steps.shape == (0,) and batch.steps.dtype == np.int64
+    assert batch.truncated.shape == (0,) and batch.truncated.dtype == bool
 
 
 def test_per_walk_starts_are_checked():
@@ -479,26 +494,35 @@ def test_late_walk_is_truncated_at_its_own_cap(monkeypatch):
 @given(st.sampled_from(sorted(SHAPES)), st.sampled_from([BALL, SPHERE]), st.integers(1, 5),
        st.integers(0, 2**40), st.integers(1, 9), st.integers(1, 64), st.sampled_from(_LAYOUTS),
        st.one_of(st.just(10_000_000), st.integers(1, 300)),
-       st.one_of(st.none(), st.floats(0.05, 0.8)))
-@example(("ball", 2), BALL, 1, 1, 1, 64, "shared", 10_000_000, None)
-@example(("ball", 3), SPHERE, 2, 2, 2, 64, "shared", 10_000_000, 0.6)
-@example(("box", 3), BALL, 2, 3, 2, 40, "per_walk", 23, None)
-@example(("annulus", 3), BALL, 3, 0, 2, 64, "per_walk", 30, None)   # a refilled lane's cap
-@example(("annulus", 2), SPHERE, 2, 4, 1, 64, "per_walk", 10_000_000, None)
-@example(("punctured_ball", 3), BALL, 2, 5, 3, 64, "shared", 10_000_000, None)
-@example(("difference", 2), BALL, 3, 6, 2, 50, "per_walk", 150, 0.3)
-@example(("halfspaces", 2), SPHERE, 2, 7, 2, 64, "shared", 10_000_000, None)
+       st.one_of(st.none(), st.floats(0.05, 0.8)), st.just(0.02))
+@example(("ball", 2), BALL, 1, 1, 1, 64, "shared", 10_000_000, None, 0.02)
+@example(("ball", 3), SPHERE, 2, 2, 2, 64, "shared", 10_000_000, 0.6, 0.02)
+@example(("box", 3), BALL, 2, 3, 2, 40, "per_walk", 23, None, 0.02)
+@example(("annulus", 3), BALL, 3, 0, 2, 64, "per_walk", 30, None, 0.02)   # a refilled lane's cap
+@example(("annulus", 2), SPHERE, 2, 4, 1, 64, "per_walk", 10_000_000, None, 0.02)
+@example(("punctured_ball", 3), BALL, 2, 5, 3, 64, "shared", 10_000_000, None, 0.02)
+@example(("difference", 2), BALL, 3, 6, 2, 50, "per_walk", 150, 0.3, 0.02)
+@example(("halfspaces", 2), SPHERE, 2, 7, 2, 64, "shared", 10_000_000, None, 0.02)
 # groups of 2 in 3 lanes: walk 3 joins its group's start by a refill
-@example(("box", 3), SPHERE, 4, 8, 3, 64, 2, 40, None)
-@example(("difference", 3), BALL, 5, 9, 2, 20, 3, 10_000_000, 0.5)
+@example(("box", 3), SPHERE, 4, 8, 3, 64, 2, 40, None, 0.02)
+@example(("difference", 3), BALL, 5, 9, 2, 20, 3, 10_000_000, 0.5, 0.02)
+# a far walk speculates beside a near one, which steps alone once the far
+# walk's lane is dropped
+@example(("ball", 2), BALL, 2, 10, 2, 64, "center_and_rim", 10_000_000, None, 0.01)
+# caps and ring stops inside speculative blocks
+@example(("ball", 2), BALL, 4, 11, 4, 64, "center_and_rim", 45, None, 0.02)
+@example(("ball", 3), SPHERE, 4, 12, 4, 64, "center_and_rim", 33, None, 0.02)
+@example(("ball", 3), BALL, 4, 13, 4, 64, "center_and_rim", 10_000_000, 0.25, 0.02)
+@example(("ball", 2), SPHERE, 4, 14, 4, 64, "center_and_rim", 10_000_000, 0.3, 0.02)
 @settings(max_examples=25, deadline=None)
 def test_run_walks_matches_the_scalar_reference(key, kind, m, seed, lanes, prefetch,
-                                                 layout, cap, stop_radius):
-    # At eps 0.02 walks deep inside leap many steps per iteration, so caps
-    # and ring stops fall inside would-be leaps; lanes and blocks vary too.
-    # trace_walk shares no lane, block or leap code with the kernel.
+                                                 layout, cap, stop_radius, eps):
+    # At eps 0.02 walks deep inside take many speculative steps per
+    # iteration, so caps and ring stops fall inside speculative blocks; lanes
+    # and blocks vary too.  trace_walk shares no lane, block or speculation
+    # code with the kernel.
     domain = SHAPES[key]
-    cfg = WalkConfig(0.02, kind=kind, max_steps=cap)
+    cfg = WalkConfig(eps, kind=kind, max_steps=cap)
     m, x0, starts = _laid_out(domain, m, seed, layout)
     idx = np.arange(m) * 3 + seed % 991
     ring = None if stop_radius is None else (np.mean(domain.bounding_box(), axis=0),
@@ -514,24 +538,60 @@ def test_run_walks_matches_the_scalar_reference(key, kind, m, seed, lanes, prefe
         assert batch.truncated[row] == truncated
 
 
-def test_long_walks_leap(monkeypatch):
+def test_long_walks_speculate(monkeypatch):
     # Regularity-probe shape: walks start next to the boundary at a small
     # eps, and once the short ones have exited, the long ones deep inside
-    # take many steps per iteration.
+    # take many speculative steps per iteration.  Every iteration draws by
+    # take or speculate; depths holds 0 for take.
     depths = []
-    take = walk._StepDraws.take
+    take, speculate = walk._StepDraws.take, walk._StepDraws.speculate
 
-    def spy(self, t, k=1):
-        w = take(self, t, k)
-        depths.append(w.shape[1])
-        return w
+    def spy_take(self, t):
+        depths.append(0)
+        return take(self, t)
 
-    monkeypatch.setattr(walk._StepDraws, "take", spy)
+    def spy_speculate(self, t, far, depth):
+        depths.append(depth)
+        return speculate(self, t, far, depth)
+
+    monkeypatch.setattr(walk._StepDraws, "take", spy_take)
+    monkeypatch.setattr(walk._StepDraws, "speculate", spy_speculate)
     cfg = WalkConfig(0.01)
     batch = run_walks(DISK, (0.99, 0.0), cfg, 5, range(200))
     assert max(depths) >= 2
-    # the longest walk alone takes more steps than the batch took iterations
-    assert len(depths) < batch.steps.max()
+    # the batch takes a small fraction of its longest walk's steps in iterations
+    assert 10 * len(depths) < batch.steps.max()
+
+
+# _sd calls of the probe-shaped batch below, by walk kind.
+# (_sd calls, total steps) of the probe-shaped batch below, by walk kind.
+_PROBE_PINS = {BALL: (786, 270_762), SPHERE: (867, 122_583)}
+
+
+@pytest.mark.parametrize("kind", [BALL, SPHERE])
+def test_probe_batch_iteration_count_is_pinned(kind, monkeypatch):
+    # A probe-shaped batch: 400 walks from two starts 0.01 and 0.02 from the
+    # boundary at eps 0.01.  Each iteration calls _sd once, and once more if
+    # it speculates; the count is fixed by the walks' bits, so a change that
+    # loses speculation changes it.  Where another C math library walks other
+    # 2-D bits (see the README's numerical contract), the steps differ too and
+    # the count is not comparable.
+    calls = []
+    disk = Ball((0.0, 0.0), 1.0)
+    sd = disk._sd
+
+    def spy(x):
+        calls.append(x.shape[0])
+        return sd(x)
+
+    monkeypatch.setattr(disk, "_sd", spy)
+    batch = run_walks(disk, [(0.99, 0.0), (0.0, 0.98)], WalkConfig(0.01, kind=kind), 9,
+                      range(400))
+    sd_calls, total_steps = _PROBE_PINS[kind]
+    if batch.steps.sum() != total_steps:
+        pytest.skip("this build walks other bits than the pinning machine")
+    assert len(calls) == sd_calls
+    assert 10 * len(calls) < batch.steps.max()
 
 
 # Digests of ball and sphere walk batches in the given dimensions, one line
