@@ -8,11 +8,11 @@ property of a single step.
 
 Every diagnostic that runs walks goes through exit_sample or
 estimate_field, so walks fan out over threads in one place and walk k of a
-batch uses stream stream_base + k; the exit-measure and escape walks are
-exit_sample walks with a ring stop.  Walk streams occupy low indices
-(documented per routine); auxiliary sampling (probe locations, averaging
-centers, single-step draws) lives in the block starting at AUX_STREAM_BASE
-so it can never collide with walk streams.
+batch uses stream stream_base + k.  Regularity and escape are fields of
+indicator data; the exit-measure and escape walks stop at a ring.  Walk
+streams occupy low indices (documented per routine); auxiliary sampling
+(probe locations, averaging centers, single-step draws) lives in the block
+starting at AUX_STREAM_BASE so it can never collide with walk streams.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import AUX_STREAM_BASE, _require_sane_truncation, estimate_field, exit_sample
+from .estimator import AUX_STREAM_BASE, estimate_field, exit_sample
 from .geometry import MAX_DIM, Domain, as_point, _count
 from .oracle import BoundaryData, DistanceTo, radial_profile
 from .stochastic import RngStream, sample_unit_ball
@@ -245,16 +245,24 @@ def _boundary_scale(domain: Domain) -> float:
     return max(1.0, domain.diameter())
 
 
-def _binomial(success: NDArray[np.bool_],
-              truncated: NDArray[np.bool_]) -> tuple[float, float, int]:
-    """The success fraction p of the walks that were not truncated, its
-    binomial standard error sqrt(p (1 - p) / n_ok) and n_ok, after the
-    truncation refusal."""
-    _require_sane_truncation(int(truncated.sum()), truncated.size)
-    ok = ~truncated
-    n_ok = int(ok.sum())
-    p = float(success[ok].mean())
-    return p, math.sqrt(p * (1.0 - p) / n_ok), n_ok
+class _Indicator(BoundaryData):
+    """1 where |x - center| <= radius (with ``outside``, >= radius), else 0."""
+
+    def __init__(self, center: _Array, radius: float, outside: bool = False):
+        self.distance, self.radius, self.outside = DistanceTo(center), radius, outside
+
+    def eval(self, points) -> _Array:
+        d = self.distance.eval(points)
+        return np.where(d >= self.radius if self.outside else d <= self.radius, 1.0, 0.0)
+
+
+def _hit_fraction(field, j: int) -> tuple[float, float, int]:
+    """Point j's hit fraction p in a field of _Indicator data, its binomial
+    standard error sqrt(p (1 - p) / n) and its n untruncated walks.  p is
+    rebuilt from the hit count: the chunk fold can leave a mean an ulp off."""
+    n = int(field.counts[j])
+    p = round(float(field.means[j]) * n) / n
+    return p, math.sqrt(p * (1.0 - p) / n), n
 
 
 def estimate_regularity(
@@ -274,10 +282,8 @@ def estimate_regularity(
     Probe locations are rejection-sampled from the ball of radius delta_hat
     around y0 intersected with the domain (candidates come from the auxiliary
     stream block; it is an error when none of 10^4 candidates is interior).
-    Probe i runs walks on streams [i * n_walks, (i + 1) * n_walks); all
-    probes' walks run as one exit_sample call with one start per walk, cut
-    into chunks that may straddle probes, and each probe's statistics come
-    from its own slice.
+    The probes are the points of one estimate_field call, so probe i runs
+    walks on streams [i * n_walks, (i + 1) * n_walks).
     Membership uses the closed ball |exit - y0| <= delta, so delta at least
     diam(D) gives probability 1 without simulation.
     """
@@ -288,7 +294,7 @@ def estimate_regularity(
     if not 0.0 < delta_hat < delta:
         raise ValueError(f"need 0 < delta_hat < delta, got {delta_hat}, {delta}")
     probe_count = _count(probe_count, "probe_count")
-    n_walks = _count(n_walks, "n_walks")
+    n_walks = _count(n_walks, "n_walks", 2)
     threads = _count(threads, "threads")
     scale = _boundary_scale(domain)
     if abs(domain.signed_distance(y0)) > 1e-9 * scale:
@@ -302,26 +308,17 @@ def estimate_regularity(
         raise ValueError(
             f"no interior probe found in {_PROBE_TRIAL_CAP} candidates within "
             f"delta_hat={delta_hat} of y0")
-    probe_points = candidates[found[:probe_count]]
-
-    starts = [row.copy() for row in probe_points]
-    for x0 in starts:
-        x0.setflags(write=False)
+    starts = candidates[found[:probe_count]]
+    starts.setflags(write=False)
     if delta >= domain.diameter():
-        probes = tuple(RegularityProbe(x0=x0, probability=1.0, stderr=0.0, n=0)
-                       for x0 in starts)
-        return RegularityReport(y0=y0, delta=delta, delta_hat=delta_hat,
-                                epsilon=float(config.epsilon), probes=probes)
-    batch = exit_sample(domain, np.repeat(probe_points, n_walks, axis=0), config,
-                        master_seed, len(starts) * n_walks, threads=threads)
-    hits = np.linalg.norm(batch.exit_points - y0, axis=1) <= delta
-    probes = []
-    for i, x0 in enumerate(starts):
-        walks = slice(i * n_walks, (i + 1) * n_walks)
-        p, stderr, n_ok = _binomial(hits[walks], batch.truncated[walks])
-        probes.append(RegularityProbe(x0=x0, probability=p, stderr=stderr, n=n_ok))
+        probes = tuple(RegularityProbe(x0, 1.0, 0.0, 0) for x0 in starts)
+    else:
+        field = estimate_field(domain, _Indicator(y0, delta), starts, config,
+                               master_seed, n_walks, threads=threads)
+        probes = tuple(RegularityProbe(x0, *_hit_fraction(field, i))
+                       for i, x0 in enumerate(starts))
     return RegularityReport(y0=y0, delta=delta, delta_hat=delta_hat,
-                            epsilon=float(config.epsilon), probes=tuple(probes))
+                            epsilon=float(config.epsilon), probes=probes)
 
 
 def estimate_escape_probability(
@@ -353,7 +350,7 @@ def estimate_escape_probability(
     delta = float(delta)
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    n_walks = _count(n_walks, "n_walks")
+    n_walks = _count(n_walks, "n_walks", 2)
     threads = _count(threads, "threads")
     if not domain.contains(x0):
         raise ValueError("x0 must lie inside the open domain")
@@ -363,11 +360,9 @@ def estimate_escape_probability(
         return 1.0, 0.0
     if delta >= start_distance + domain.diameter():
         return 0.0, 0.0
-    batch = exit_sample(domain, x0, config, master_seed, n_walks,
-                        ring=(y0, delta), threads=threads)
-    escaped = np.linalg.norm(batch.exit_points - y0, axis=1) >= delta
-    p, stderr, _ = _binomial(escaped, batch.truncated)
-    return p, stderr
+    field = estimate_field(domain, _Indicator(y0, delta, outside=True), x0[None, :], config,
+                           master_seed, n_walks, ring=(y0, delta), threads=threads)
+    return _hit_fraction(field, 0)[:2]
 
 
 def cone_ratio(half_angle: float) -> float:

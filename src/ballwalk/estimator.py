@@ -7,15 +7,14 @@ standard errors, and every sampling routine is bitwise deterministic for a
 given seed no matter how the work is split across threads: walk k always
 consumes stream ``stream_base + k``, chunk statistics are pure functions of
 the chunk index, and chunks are merged in index order.  A kernel call runs a
-span.  A point with more than half a packed span of walks is cut into one
-chunk-aligned span per thread, of ceil(chunks / threads) chunks but at most
-_SPAN_CHUNKS (and, in a field of several points, no less than a packed span),
-and the spans fan out over threads; fewer, longer calls pay the kernel's tail
-of near-empty iterations fewer times.  Smaller points are run whole, as many
-as fit in a packed span, one packed span after another, as two at once would
-cost about 10% more peak memory.  This is the one module that fans walks out
-over threads; the diagnostics run their walks through exit_sample or
-estimate_field.
+span.  A field's points run whole, ceil(points / threads) to a call of at
+most _SPAN_CHUNKS chunks, and the calls fan out over threads; fewer, longer
+calls pay the kernel's tail of near-empty iterations fewer times.  A point
+alone in its call, and an exit_sample batch, is cut into one chunk-aligned
+span per thread instead.  Points of at most half a packed span fill packed
+spans that run one after another, as two at once would cost about 10% more
+peak memory.  This is the one module that fans walks out over threads; the
+diagnostics run their walks through exit_sample or estimate_field.
 """
 
 from __future__ import annotations
@@ -178,23 +177,20 @@ def exit_sample(
     ring: tuple | None = None,
     threads: int = 1,
 ) -> WalkBatch:
-    """Simulate n_walks exits; walk k uses stream stream_base + k.
-
-    ``x0`` is one start (n,) shared by every walk or one start per walk
-    (n_walks, n); ``ring=(center, r)`` is passed to run_walks, which then
+    """Simulate n_walks exits from the one start x0 (n,); walk k uses stream
+    stream_base + k.  ``ring=(center, r)`` is passed to run_walks, which then
     stops each walk at distance r from center and leaves it unprojected.
     """
     _check_config(config)
     n_walks = _count(n_walks, "n_walks")
     threads = _count(threads, "threads")
     stream_base = _check_streams(stream_base, n_walks)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim == 2 and x0.shape[0] != n_walks:
-        raise ValueError(f"got {x0.shape[0]} start points for {n_walks} walks")
+    x, one = _prep(x0, domain.dim)
+    if not one:
+        raise ValueError(f"got {x.shape[0]} start points for {n_walks} walks")
 
     def worker(lo: int, hi: int) -> WalkBatch:
-        starts = x0[lo:hi] if x0.ndim == 2 else x0
-        return run_walks(domain, starts, config, master_seed,
+        return run_walks(domain, x, config, master_seed,
                          np.arange(stream_base + lo, stream_base + hi, dtype=np.uint64),
                          ring=ring)
 
@@ -239,12 +235,15 @@ def estimate_field(
     n_walks: int,
     *,
     stream_base: int = 0,
+    ring: tuple | None = None,
     threads: int = 1,
 ) -> FieldResult:
     """Estimate the solution at many points; point j owns walk streams
     stream_base + [j * n_walks, (j + 1) * n_walks), so adding or skipping
-    points never shifts another point's randomness.  The first point that
-    earns the truncation refusal raises it."""
+    points never shifts another point's randomness.  With ``ring=(center,
+    r)`` each walk also stops at distance r from center, as in run_walks,
+    and F is taken at its unprojected stop.  The first point that earns the
+    truncation refusal raises it."""
     _check_config(config)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -263,7 +262,7 @@ def estimate_field(
         # rows[sel], from one kernel call; lo is a chunk boundary.
         x, w = pts[rows[sel]], hi - lo
         idx = (stream_base + n_walks * rows[sel, None] + np.arange(lo, hi)).ravel()
-        batch = run_walks(domain, x, config, master_seed, idx.astype(np.uint64))
+        batch = run_walks(domain, x, config, master_seed, idx.astype(np.uint64), ring=ring)
         parts = []
         for e, t in zip(batch.exit_points.reshape(len(x), w, -1),
                         batch.truncated.reshape(len(x), w)):
@@ -273,15 +272,17 @@ def estimate_field(
                 parts.append((_chunk_moments(values), int(cut.sum())))
         return parts
 
-    per = max(1, _PACK_CHUNKS * _CHUNK // n_walks)     # whole points a packed span holds
-    # With several points, the other points keep the threads busy, so a point
-    # is cut no finer than a packed span: finer spans only add kernel tails
-    # (8 points of 16 384 walks at 2 threads took 6.8-7.6 s in 8192-walk
-    # spans, 5.2-5.7 s in one span a point).
+    # Whole points share a call, which keeps parts point-major, and a point
+    # alone is cut into spans no finer than a packed span if others keep the
+    # threads busy (8 points of 16 384 walks at 2 threads: 1.47-2.15 s in two
+    # calls, 2.18-2.50 s in one call a point, 6 alternating runs, 2 CPUs).
+    small = n_walks <= _PACK_CHUNKS * _CHUNK // 2
+    fan, cap = (1, _PACK_CHUNKS) if small else (threads, _SPAN_CHUNKS)
+    per = max(1, min(-(-rows.size // fan), cap * _CHUNK // n_walks))
     least = _PACK_CHUNKS if rows.size > 1 else 1
-    tasks = [(slice(r, r + per), lo, hi) for r in range(0, rows.size, per)
-             for lo, hi in _spans(n_walks, threads, least)]
-    parts = [part for s in _map_chunks(run, tasks, threads if per == 1 else 1) for part in s]
+    spans = _spans(n_walks, threads, least) if per == 1 else [(0, n_walks)]
+    tasks = [(slice(r, r + per), lo, hi) for r in range(0, rows.size, per) for lo, hi in spans]
+    parts = [part for s in _map_chunks(run, tasks, fan) for part in s]
     chunks = -(-n_walks // _CHUNK)     # per point, consecutive in parts
     means, stderrs = np.full((2, m), np.nan)
     counts, truncated = np.zeros((2, m), dtype=np.int64)

@@ -203,30 +203,32 @@ def test_puncture_is_irregular():
     assert report.min_probability <= 0.12
 
 
-def _regularity_probe_by_probe(domain, y0, delta, x0s, epsilon, n_walks, seed, threads):
-    """One exit_sample call per probe: probe i on streams [i*n, (i+1)*n)."""
-    out = []
-    for i, x0 in enumerate(x0s):
-        batch = exit_sample(domain, x0, WalkConfig(epsilon), seed, n_walks,
-                            stream_base=i * n_walks, threads=threads)
-        ok = ~batch.truncated
-        hits = np.linalg.norm(batch.exit_points[ok] - y0, axis=1) <= delta
-        p = float(hits.mean())
-        out.append((p, math.sqrt(p * (1.0 - p) / int(ok.sum())), int(ok.sum())))
-    return out
-
-
+@pytest.mark.parametrize("n", [_CHUNK // 2 + 100, 20_000])
+@pytest.mark.parametrize("kind", ["ball", "sphere"])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_regularity_batch_equals_probe_by_probe(threads):
-    # 3 probes of n walks with 2n > _CHUNK: the first chunk ends inside probe 1
-    n = _CHUNK // 2 + 100
-    y0 = np.array([1.0, 0.0])
-    report = estimate_regularity(DISK, y0, 0.3, 0.02, WalkConfig(0.2), 3, n, 8,
-                                 threads=threads)
-    got = [(p.probability, p.stderr, p.n) for p in report.probes]
-    want = _regularity_probe_by_probe(DISK, y0, 0.3, [p.x0 for p in report.probes], 0.2,
-                                      n, 8, threads)
-    assert got == want
+def test_probabilities_are_hit_counts_over_walks(n, kind, threads):
+    # Regularity probes and the escape estimate are fields of indicator data,
+    # whose chunk fold can leave a mean an ulp from hits / n; each p must be
+    # hits / n of the same walks run by exit_sample, bit for bit.  Probes of
+    # _CHUNK // 2 + 100 walks share packed spans; at 20 000 walks a probe (3
+    # chunks) a naive fold read 0.9803499999999999 for 0.98035 here, and at 2
+    # threads the probes run two to a kernel call.
+    cfg, y0, delta = WalkConfig(0.1, kind=kind), np.array([1.0, 0.0]), 0.3
+
+    def want(x0, i, ring=None):
+        batch = exit_sample(DISK, x0, cfg, 7, n, stream_base=i * n, ring=ring)
+        ok = ~batch.truncated
+        d = np.linalg.norm(batch.exit_points[ok] - y0, axis=1)
+        hits = int(np.sum(d >= delta if ring else d <= delta))
+        p = hits / int(ok.sum())
+        return p, math.sqrt(p * (1.0 - p) / int(ok.sum())), int(ok.sum())
+
+    report = estimate_regularity(DISK, y0, delta, 0.05, cfg, 3, n, 7, threads=threads)
+    for i, probe in enumerate(report.probes):
+        assert (probe.probability, probe.stderr, probe.n) == want(probe.x0, i)
+    x0 = (0.9, 0.05)
+    got = estimate_escape_probability(DISK, y0, delta, x0, cfg, n, 7, threads=threads)
+    assert got == want(x0, 0, ring=(y0, delta))[:2]
 
 
 def test_regularity_trivial_when_delta_covers_the_domain():

@@ -62,11 +62,11 @@ COUNTS = {
         DISK, Coordinate(1), [X0], CFG, 1, 3, stream_base=v)),
     "estimate_regularity.probe_count": ("probe_count", 1, lambda v: estimate_regularity(
         DISK, Y0, 0.3, 0.02, WalkConfig(0.1), v, 3, 1)),
-    "estimate_regularity.n_walks": ("n_walks", 1, lambda v: estimate_regularity(
+    "estimate_regularity.n_walks": ("n_walks", 2, lambda v: estimate_regularity(
         DISK, Y0, 0.3, 0.02, WalkConfig(0.1), 2, v, 1)),
     "estimate_regularity.threads": ("threads", 1, lambda v: estimate_regularity(
         DISK, Y0, 0.3, 0.02, WalkConfig(0.1), 2, 3, 1, threads=v)),
-    "estimate_escape_probability.n_walks": ("n_walks", 1, lambda v: estimate_escape_probability(
+    "estimate_escape_probability.n_walks": ("n_walks", 2, lambda v: estimate_escape_probability(
         DISK, Y0, 0.5, (0.9, 0.0), WalkConfig(0.1), v, 1)),
     "estimate_escape_probability.threads": ("threads", 1,
                                             lambda v: estimate_escape_probability(

@@ -138,15 +138,11 @@ def test_exit_sample_matches_run_walks_streams():
     direct = run_walks(DISK, (0.2, 0.2), CFG, 9, range(40, 340))
     np.testing.assert_array_equal(batch.exit_points, direct.exit_points)
     np.testing.assert_array_equal(batch.steps, direct.steps)
-    # one start per walk, with a ring around another point
-    starts = np.column_stack([np.linspace(-0.5, 0.5, 300), np.zeros(300)])
-    ring = ((1.0, 0.0), 1.2)
-    batch = exit_sample(DISK, starts, CFG, 9, 300, stream_base=40, ring=ring, threads=2)
-    direct = run_walks(DISK, starts, CFG, 9, range(40, 340), ring=ring)
-    np.testing.assert_array_equal(batch.exit_points, direct.exit_points)
-    np.testing.assert_array_equal(batch.steps, direct.steps)
-    with pytest.raises(ValueError):
-        exit_sample(DISK, starts, CFG, 9, 299)
+    # exit_sample takes one start point: a one-row batch or a start per walk
+    # is refused
+    for starts in ([(0.2, 0.2)], np.zeros((300, 2))):
+        with pytest.raises(ValueError, match=r"^got \d+ start points for 300 walks$"):
+            exit_sample(DISK, starts, CFG, 9, 300)
 
 
 def test_truncation_beyond_budget_raises():
@@ -348,8 +344,9 @@ _PINNED = {
                 lambda threads: analysis.irregularity_witness(
                     DISK, (1.0, 0.0), [WalkConfig(0.1), WalkConfig(0.05)], [0.05, 0.01], 200, 3,
                     threads=threads)),
-    # three probes of 30 walks, one start per walk, in chunk-aligned spans
-    # that straddle probes
+    # three probes of 30 walks, the points of one field of indicator data:
+    # with 40-walk chunks, probes 0 and 1 share a packed span, probe 2 has
+    # its own; pinned when the probes were one batch with a start per walk
     "regularity": ("81c3760aedf7a4231dad38792813db7313307ee9add597f45ed0df2ad8febb0d", 40,
                    lambda threads: analysis.estimate_regularity(
                        DISK, (1.0, 0.0), 0.5, 0.2, WalkConfig(0.2), 3, 30, 29,
@@ -545,16 +542,24 @@ def test_one_large_point_runs_one_span_per_thread(monkeypatch):
 
 
 def test_points_of_a_field_are_cut_no_finer_than_a_packed_span(monkeypatch):
-    # Three points of two chunks at 2 threads: the points fan out whole, one
-    # call each, where one point alone would run in two one-chunk spans.
+    # Three points of two chunks at 2 threads: whole points, ceil(3 / 2) = 2
+    # to a call, so one call runs points 0 and 1 and another point 2, where
+    # one point alone would run in two one-chunk spans.
     calls = _spy_kernel(monkeypatch)
     pts = [(0.1, 0.0), (-0.3, 0.2), (0.0, 0.4)]
-    estimate_field(DISK, Coordinate(1), pts, CFG, 5, 16384, threads=2)
-    assert sorted(idx[0] for idx, _, _ in calls) == [0, 16384, 32768]
-    assert {len(idx) for idx, _, _ in calls} == {16384}
+    field = estimate_field(DISK, Coordinate(1), pts, CFG, 5, 16384, threads=2)
+    assert sorted(call[:2] for call in calls) == [
+        (list(range(0, 32768)), (2, 2)), (list(range(32768, 49152)), (1, 2))]
+    # every exit is its start: each point's parts stay its own
+    np.testing.assert_allclose(field.means, np.array(pts)[:, 0], rtol=0, atol=1e-15)
     calls.clear()
     estimate_field(DISK, Coordinate(1), pts[:1], CFG, 5, 16384, threads=2)
     assert sorted(len(idx) for idx, _, _ in calls) == [8192, 8192]
+    # regularity probes are the points of one field: each call gets one
+    # start per probe, not one per walk
+    calls.clear()
+    analysis.estimate_regularity(DISK, (1.0, 0.0), 0.3, 0.02, CFG, 5, 10_000, 5)
+    assert [(len(idx), shape) for idx, shape, _ in calls] == [(50_000, (5, 2))]
 
 
 @given(st.integers(1, 200_000), st.integers(1, 64), st.integers(1, 3), st.integers(1, 9000))

@@ -190,6 +190,19 @@ def test_stopped_walks_ring():
     assert single.steps[0] == batch.steps[3]
 
 
+def test_per_walk_starts_with_a_ring_split_across_calls():
+    # One start per walk, with a ring around another point: cut into two
+    # calls, each with its own walks' starts, the walks are unchanged.
+    starts = np.column_stack([np.linspace(-0.5, 0.5, 300), np.zeros(300)])
+    cfg, ring = WalkConfig(0.2), ((1.0, 0.0), 1.2)
+    whole = run_walks(DISK, starts, cfg, 9, range(40, 340), ring=ring)
+    parts = [run_walks(DISK, starts[lo:hi], cfg, 9, range(40 + lo, 40 + hi), ring=ring)
+             for lo, hi in ((0, 128), (128, 300))]
+    assert np.array_equal(whole.exit_points, np.concatenate([p.exit_points for p in parts]))
+    assert np.array_equal(whole.steps, np.concatenate([p.steps for p in parts]))
+    assert np.any(whole.steps > 1)
+
+
 def test_stopped_walks_need_room():
     # distance to the boundary must be at least 2r so the ring is interior
     with pytest.raises(ValueError, match="radius 2r"):
