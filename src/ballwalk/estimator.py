@@ -216,14 +216,14 @@ def estimate_value(
     """Estimate the solution at x0 as the mean of F over simulated exits:
     the one-point case of estimate_field."""
     _check_config(config)
-    n_walks = _count(n_walks, "n_walks", 2)
     x, one = _prep(x0, domain.dim)
     if not one:
         raise ValueError(f"got {x.shape[0]} start points for {n_walks} walks")
-    if not domain.contains(x)[0]:
+    est = estimate_field(domain, data, x, config, master_seed, n_walks,
+                         stream_base=stream_base, threads=threads).estimate_at(0)
+    if est is None:     # the field skipped its point
         raise ValueError("walks must start inside the open domain")
-    return estimate_field(domain, data, x, config, master_seed, n_walks,
-                          stream_base=stream_base, threads=threads).estimate_at(0)
+    return est
 
 
 def estimate_field(

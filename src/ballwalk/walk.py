@@ -29,10 +29,10 @@ dist(x) >= reach, the reach being epsilon for ball walks and 2 * epsilon for
 sphere walks (min(epsilon, d) == epsilon, and min(epsilon, d / 2) ==
 epsilon, exactly then); such a step cannot stop the walk, since the stop
 tolerance is below epsilon.  Once no walk is pending and the batch is
-narrower than _PREFETCH_ROWS, every lane takes its ordinary step, and each
+narrower than _PREFETCH_ROWS, every lane takes its ordinary step s, and each
 lane at distance at least 3 * reach then takes depth = _PREFETCH_ROWS // live
 - 1 more steps of radius epsilon at once: np.add.accumulate over
-[x, epsilon * w_{t+1}, ..., epsilon * w_{t+depth}] along the step axis
+[x, epsilon * w_{s+1}, ..., epsilon * w_{s+depth}] along the step axis
 performs exactly the additions of single steps, and one _sd call gives the
 distance of every point reached.  The lane keeps the longest prefix of these
 steps whose starting points all lie at distance at least reach (with a ring
@@ -144,76 +144,72 @@ class _StepDraws:
     """Per-step unit-ball or unit-sphere draws for the walks in a batch's lanes.
 
     Step s of a walk reads the sample whose first draw is s * per on the
-    walk's stream, whatever the batch.  A lane stores the offset -a * per
-    (mod 2**64) for a walk whose step 0 is iteration a, so iteration t reads
-    lane offset + t * per for every lane alike; a walk that takes k
-    speculative steps has its a moved back by k.  While the live batch is
-    narrower than _PREFETCH_ROWS, one sampler call fills a block of several
-    iterations for every lane, handed out one iteration at a time; rows of
-    walks that leave are dropped from the block, and admitting a walk drops
-    the whole block.  Block depth therefore changes how many calls are made,
-    never a sample, and a block may reach past a walk's step cap: those rows
-    are drawn but never read.  An iteration with speculative steps draws its
-    own rows, at the same addresses, and drops the block too.
+    walk's stream, whatever the batch; the caller passes each lane's step
+    count.  While the live batch is narrower than _PREFETCH_ROWS, one
+    sampler call fills a block of the next several steps of every lane,
+    handed out one step at a time, since every lane steps once between
+    draws; rows of walks that leave are dropped from the block, and
+    admitting a walk drops the whole block.  Block depth therefore changes
+    how many calls are made, never a sample, and a block may reach past a
+    walk's step cap: those rows are drawn but never read.  An iteration with
+    speculative steps draws its own rows, at the same addresses, and drops
+    the block too.
     """
 
     def __init__(self, n_dim: int, sphere: bool, master_seed: int, stream_indices,
                  lanes: int):
         self._n_dim = n_dim
         self._sampler = _unit_sphere_from_base if sphere else _unit_ball_from_base
-        self._per = np.uint64(draws_per_sphere(n_dim) if sphere else draws_per_ball(n_dim))
+        self._per = draws_per_sphere(n_dim) if sphere else draws_per_ball(n_dim)
         self._all_bases = _stream_base(master_seed, stream_indices)
         self._bases = self._all_bases[:lanes].copy()
-        self._offsets = np.zeros(lanes, dtype=np.uint64)
-        self._block: _Array | None = None   # (live, k, n): iterations block_t .. block_t + k - 1
-        self._block_t = 0
+        self._block: _Array | None = None   # (live, k, n): the next k steps
+        self._read = 0                      # the block's next step
 
     def drop(self, keep: NDArray[np.bool_]) -> None:
         """Forget the lanes whose ``keep`` flag is False."""
         self._bases = self._bases[keep]
-        self._offsets = self._offsets[keep]
         if self._block is not None:
             self._block = self._block.compress(keep, axis=0)
 
-    def admit(self, lanes: NDArray[np.intp], walks: NDArray[np.intp], t: int) -> None:
-        """Give ``lanes`` to ``walks``, whose step 0 is iteration t."""
+    def admit(self, lanes: NDArray[np.intp], walks: NDArray[np.intp]) -> None:
+        """Give ``lanes`` to ``walks``."""
         self._bases[lanes] = self._all_bases[walks]
-        self._offsets[lanes] = (-t * int(self._per)) % 2**64
         self._block = None
 
-    def take(self, t: int) -> _Array:
-        """The samples of iteration t for the lanes, shape (live, n)."""
+    def _draw(self, bases: NDArray[np.uint64], steps: NDArray[np.int64]) -> _Array:
+        # A step count times per is nonnegative, so its int64 bits are its
+        # uint64 draw address.
+        return self._sampler(bases, (steps * self._per).view(np.uint64), self._n_dim)
+
+    def take(self, taken: NDArray[np.int64]) -> _Array:
+        """The samples of step taken[i] of each lane's walk, shape (live, n)."""
         block = self._block
         if block is None:
-            live = self._bases.shape[0]
+            live = taken.shape[0]
             depth = max(1, _PREFETCH_ROWS // live)
-            first = self._offsets[:, None] + np.arange(t, t + depth, dtype=np.uint64) * self._per
             bases = self._bases if depth == 1 else np.repeat(self._bases, depth)
-            w = self._sampler(bases, first.ravel(), self._n_dim)
-            block = w.reshape(live, depth, self._n_dim)
-            self._block_t = t
-        j = t - self._block_t
-        # Iterations are taken in order, so a block is released once its last
+            steps = taken if depth == 1 else (taken[:, None] + np.arange(depth)).ravel()
+            block = self._draw(bases, steps).reshape(live, depth, self._n_dim)
+            self._read = 0
+        j = self._read
+        self._read += 1
+        # Steps are taken in order, so a block is released once its last
         # step is read and drop() never gathers rows that will not be read.
-        self._block = block if j + 1 < block.shape[1] else None
+        self._block = block if self._read < block.shape[1] else None
         return block[:, j]
 
-    def speculate(self, t: int, far: NDArray[np.intp], depth: int) -> tuple[_Array, _Array]:
-        """The samples of iteration t for the lanes, shape (live, n), and of
-        iterations t + 1 .. t + depth for the lanes ``far``, shape
-        (far, depth, n), from one sampler call."""
-        live = self._bases.shape[0]
-        ahead = self._offsets[far, None] + np.arange(t + 1, t + depth + 1,
-                                                     dtype=np.uint64) * self._per
-        first = np.concatenate([self._offsets + np.uint64(t) * self._per, ahead.ravel()])
-        bases = np.concatenate([self._bases, np.repeat(self._bases[far], depth)])
-        w = self._sampler(bases, first, self._n_dim)
+    def speculate(self, taken: NDArray[np.int64], far: NDArray[np.intp],
+                  depth: int) -> tuple[_Array, _Array]:
+        """The samples of step taken[i] of each lane's walk, shape (live, n),
+        and of its steps taken[i] + 1 .. taken[i] + depth for the lanes
+        ``far``, shape (far, depth, n), from one sampler call."""
+        live = taken.shape[0]
+        ahead = taken[far, None] + np.arange(1, depth + 1)
+        w = self._draw(np.concatenate([self._bases, np.repeat(self._bases[far], depth)]),
+                       np.concatenate([taken, ahead.ravel()]))
         self._block = None
         return w[:live], w[live:].reshape(far.size, depth, self._n_dim)
-
-    def skip(self, lanes: NDArray[np.intp], k: NDArray[np.intp]) -> None:
-        """Move ``lanes`` k[i] steps further along their walks."""
-        self._offsets[lanes] += k.astype(np.uint64) * self._per
 
 
 def _ring(ring: tuple, n: int) -> tuple[_Array, float]:
@@ -246,8 +242,8 @@ def run_walks(
     final position is returned unprojected.  trace_walk gives one walk's path.
 
     At most _LANES walks are live at once.  While walks are pending, a lane
-    whose walk exits takes the next walk, in stream-index order; its step s
-    is iteration (admission + s), so no outcome depends on when it joined.
+    whose walk exits takes the next walk, in stream-index order; the lane
+    counts that walk's steps from 0, so no outcome depends on when it joined.
     """
     _check_config(config)
     idx = _as_u64(stream_indices, "stream index")
@@ -273,33 +269,31 @@ def run_walks(
     # gathered with compress and take: boolean and fancy row indexing of an
     # (m, n) array is several times slower and copies the same values.
     cur = starts.take(np.arange(lanes) // group, axis=0)
+    taken = np.zeros(lanes, dtype=np.int64)     # the steps of each lane's walk
     if ring is not None:
         center, ring_radius = _ring(ring, n)
     final = np.empty((m, n))
-    # A live walk's entry holds the iteration of its step 0, less its
-    # speculative steps; it becomes the walk's step count when the walk leaves.
-    steps = np.zeros(m, dtype=np.int64)
+    steps = np.empty(m, dtype=np.int64)
     truncated = np.zeros(m, dtype=bool)
 
     alive = np.arange(lanes)    # the walk in each lane
     pending = lanes             # the next walk to admit
-    ahead = 0                   # bounds the speculative steps of any walk
-    t = 0
+    longest = 0                 # bounds every live walk's taken, for the cap checks
     while alive.size:
         dist = -domain._sd(cur)
         np.maximum(dist, 0.0, out=dist)
         done = dist < tol
         if ring is not None:
             done |= np.linalg.norm(cur - center, axis=1) >= ring_radius
-        if t + ahead >= max_steps:
-            capped = ~done & (t - steps[alive] >= max_steps)
+        if longest >= max_steps:
+            capped = ~done & (taken >= max_steps)
             truncated[alive[capped]] = True
             done |= capped
         refill = None
         if np.any(done):
             rows = alive[done]
             final[rows] = cur.compress(done, axis=0)
-            steps[rows] = t - steps[rows]
+            steps[rows] = taken[done]
             compact = True
             if pending < m:
                 # These lanes step once more with their exited walks, unread,
@@ -314,6 +308,7 @@ def run_walks(
                     break
                 cur = cur.compress(keep, axis=0)
                 dist = dist[keep]
+                taken = taken[keep]
                 draws.drop(keep)
         radius = np.minimum(eps, 0.5 * dist) if sphere else np.minimum(eps, dist)
         depth = _PREFETCH_ROWS // alive.size - 1
@@ -321,11 +316,11 @@ def run_walks(
             # w holds the block until the next draw: released at once, its
             # pages went back to the system and were faulted in again, which
             # doubled the minor faults of a field_void call and cost it 3-4%.
-            w = draws.take(t)
+            w = draws.take(taken)
             cur += radius[:, None] * w
         else:
             far = np.flatnonzero(dist >= 3.0 * reach)
-            w, ws = draws.speculate(t, far, depth)
+            w, ws = draws.speculate(taken, far, depth)
             cur += radius[:, None] * w
             # Row j of a far lane's path is its position after j speculative
             # steps, so rows 0 .. depth - 1 are where those steps start.
@@ -340,21 +335,20 @@ def run_walks(
                 ok[:, :-1] &= (np.linalg.norm(pts - center, axis=1)
                                < ring_radius).reshape(far.size, depth)
             kept = ok.argmin(axis=1)     # the first step that may not be taken
-            far_walks = alive[far]
-            if t + ahead + depth >= max_steps:
-                np.minimum(kept, max_steps - 1 - t + steps[far_walks], out=kept)
+            if longest + depth >= max_steps:
+                np.minimum(kept, max_steps - 1 - taken[far], out=kept)
             cur[far] = path[np.arange(far.size), kept]
-            steps[far_walks] -= kept
-            draws.skip(far, kept)
-            ahead += int(kept.max())
-        t += 1
+            taken[far] += kept
+            longest += int(kept.max())
+        taken += 1
+        longest += 1
         if refill is not None:
             walks = np.arange(pending, pending + refill.size)
             pending += refill.size
             alive[refill] = walks
-            steps[walks] = t
+            taken[refill] = 0
             cur[refill] = starts.take(walks // group, axis=0)
-            draws.admit(refill, walks, t)
+            draws.admit(refill, walks)
 
     # Exits are projected after the loop, one call per _LANES rows, in place;
     # _project works row by row, so how many walks share a call never changes

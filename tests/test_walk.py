@@ -481,21 +481,32 @@ def test_lane_refill_matches_walks_run_alone(key, kind, m, seed, lanes, prefetch
 
 
 def test_late_walk_is_truncated_at_its_own_cap(monkeypatch):
-    # One lane: walk 0 runs to the cap, then walk 1 takes the lane at
-    # iteration cap + 1 and must still get cap steps of its own.
+    # One lane: walk 0 runs to the cap, then walk 1 takes the lane after
+    # iteration cap and must still get cap steps of its own.  The clock is
+    # the _sd calls: one checks the start, and while walks are pending each
+    # iteration makes one, so the admissions come after 1 + cap + 1 and
+    # 1 + 2 * (cap + 1) calls.
     cap = 7
     admissions = []
+    calls = []
+    disk = Ball((0.0, 0.0), 1.0)
+    sd = disk._sd
     admit = walk._StepDraws.admit
 
-    def spy(self, lanes, walks, t):
-        admissions.append((walks.tolist(), t))
-        return admit(self, lanes, walks, t)
+    def spy_sd(x):
+        calls.append(x.shape[0])
+        return sd(x)
+
+    def spy_admit(self, lanes, walks):
+        admissions.append((walks.tolist(), len(calls)))
+        return admit(self, lanes, walks)
 
     monkeypatch.setattr(walk, "_LANES", 1)
-    monkeypatch.setattr(walk._StepDraws, "admit", spy)
+    monkeypatch.setattr(disk, "_sd", spy_sd)
+    monkeypatch.setattr(walk._StepDraws, "admit", spy_admit)
     cfg = WalkConfig(0.01, max_steps=cap)
-    batch = run_walks(DISK, (0.0, 0.0), cfg, 2, [4, 9, 1])
-    assert admissions == [([1], cap + 1), ([2], 2 * (cap + 1))]
+    batch = run_walks(disk, (0.0, 0.0), cfg, 2, [4, 9, 1])
+    assert admissions == [([1], 1 + cap + 1), ([2], 1 + 2 * (cap + 1))]
     assert np.all(batch.truncated)
     assert np.all(batch.steps == cap)
     for row, k in enumerate([4, 9, 1]):
@@ -527,6 +538,10 @@ def test_late_walk_is_truncated_at_its_own_cap(monkeypatch):
 @example(("ball", 3), SPHERE, 4, 12, 4, 64, "center_and_rim", 33, None, 0.02)
 @example(("ball", 3), BALL, 4, 13, 4, 64, "center_and_rim", 10_000_000, 0.25, 0.02)
 @example(("ball", 2), SPHERE, 4, 14, 4, 64, "center_and_rim", 10_000_000, 0.3, 0.02)
+# walks refilled into two lanes speculate once no walk is pending, and the
+# cap (walks 2 and 5) or the ring (walk 2) cuts their kept prefix
+@example(("ball", 2), BALL, 6, 15, 2, 64, "center_and_rim", 45, None, 0.02)
+@example(("ball", 3), SPHERE, 6, 20, 2, 64, "center_and_rim", 10_000_000, 0.5, 0.02)
 @settings(max_examples=25, deadline=None)
 def test_run_walks_matches_the_scalar_reference(key, kind, m, seed, lanes, prefetch,
                                                  layout, cap, stop_radius, eps):
@@ -559,13 +574,13 @@ def test_long_walks_speculate(monkeypatch):
     depths = []
     take, speculate = walk._StepDraws.take, walk._StepDraws.speculate
 
-    def spy_take(self, t):
+    def spy_take(self, taken):
         depths.append(0)
-        return take(self, t)
+        return take(self, taken)
 
-    def spy_speculate(self, t, far, depth):
+    def spy_speculate(self, taken, far, depth):
         depths.append(depth)
-        return speculate(self, t, far, depth)
+        return speculate(self, taken, far, depth)
 
     monkeypatch.setattr(walk._StepDraws, "take", spy_take)
     monkeypatch.setattr(walk._StepDraws, "speculate", spy_speculate)
@@ -576,7 +591,6 @@ def test_long_walks_speculate(monkeypatch):
     assert 10 * len(depths) < batch.steps.max()
 
 
-# _sd calls of the probe-shaped batch below, by walk kind.
 # (_sd calls, total steps) of the probe-shaped batch below, by walk kind.
 _PROBE_PINS = {BALL: (786, 270_762), SPHERE: (867, 122_583)}
 
@@ -605,6 +619,35 @@ def test_probe_batch_iteration_count_is_pinned(kind, monkeypatch):
         pytest.skip("this build walks other bits than the pinning machine")
     assert len(calls) == sd_calls
     assert 10 * len(calls) < batch.steps.max()
+
+
+# (sampler calls, rows drawn, total steps) of the packed field_void call below.
+_BLOCK_PINS = (148, 735_235, 724_873)
+
+
+def test_packed_field_call_draws_in_prefetch_blocks(monkeypatch):
+    # One packed field_void call: the first 16 interior points of its 4x4x4
+    # grid, 1000 ball walks each.  Once fewer than _PREFETCH_ROWS walks are
+    # live, each sampler call draws several steps of every walk; the calls
+    # and rows are fixed by the walks' bits, so a change that loses or
+    # reshapes the blocks changes them.  Where another C math library walks
+    # other 3-D bits, the steps differ too and the counts are not comparable.
+    calls = []
+    sampler = walk._unit_ball_from_base
+
+    def spy(base, first, n_dim):
+        calls.append(base.shape[0])
+        return sampler(base, first, n_dim)
+
+    monkeypatch.setattr(walk, "_unit_ball_from_base", spy)
+    void = SHAPES["difference", 3]
+    axis = (np.arange(4) + 0.5) / 4
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    batch = run_walks(void, grid[void.contains(grid)][:16], WalkConfig(0.1), 5, range(16_000))
+    sampler_calls, rows, total_steps = _BLOCK_PINS
+    if batch.steps.sum() != total_steps:
+        pytest.skip("this build walks other bits than the pinning machine")
+    assert (len(calls), sum(calls)) == (sampler_calls, rows)
 
 
 # Digests of ball and sphere walk batches in the given dimensions, one line
